@@ -114,6 +114,17 @@ util::Status ResourceGraph::add_containment(VertexId parent, VertexId child) {
   if (vertices_[child].containment_parent != kInvalidVertex) {
     return util::Error{Errc::exists, "add_containment: child already placed"};
   }
+  // The parent chain of a forest ends, so this walk is O(depth); an edge
+  // closing a cycle would send repath and bump_ancestor_non_up round it
+  // forever.
+  for (VertexId a = parent; a != kInvalidVertex;
+       a = vertices_[a].containment_parent) {
+    if (a == child) {
+      return util::Error{Errc::invalid_argument,
+                         "add_containment: edge would form a containment "
+                         "cycle"};
+    }
+  }
   if (auto st = add_edge(parent, child, containment_, contains_); !st) {
     return st;
   }

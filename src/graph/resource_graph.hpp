@@ -141,7 +141,10 @@ class ResourceGraph {
                         InternId relation);
 
   /// Containment convenience: parent -contains-> child, child -in-> parent,
-  /// sets the child's containment path and parent pointer.
+  /// sets the child's containment path and parent pointer. Keeps
+  /// containment a forest: a child that already has a parent fails with
+  /// `exists`; a self edge, or a child that is an ancestor of `parent`,
+  /// fails with `invalid_argument`. Both are refused before any mutation.
   util::Status add_containment(VertexId parent, VertexId child);
 
   /// Install a pruning filter at `v` tracking the subtree totals of
@@ -179,7 +182,8 @@ class ResourceGraph {
 
   /// Re-attach a subtree built with add_vertex/add_containment under
   /// `parent` (ancestor filters regain its capacity). The subtree root
-  /// must have been created detached (no containment parent yet).
+  /// must have been created detached (no containment parent yet), and
+  /// `parent` must not lie inside the subtree.
   util::Status attach_subtree(VertexId parent, VertexId subtree_root);
 
   /// Rollback helper for transactional grow: kill every vertex with

@@ -173,7 +173,14 @@ util::Expected<JgfGraph> read_jgf(std::string_view text,
       if (spec.subsystem == "containment") {
         if (spec.relation == "contains") {
           if (auto st = g.add_containment(s->second, t->second); !st) {
-            return st.error();
+            // Name the edge, as for unknown endpoints above.
+            std::string msg =
+                "jgf: edge '" + spec.source + "' -> '" + spec.target + "' ";
+            msg += st.error().code == Errc::exists
+                       ? "gives '" + spec.target +
+                             "' a second containment parent"
+                       : "would form a containment cycle";
+            return util::Error{st.error().code, msg};
           }
         }
         // "in" edges are recreated by add_containment; skip them.
@@ -189,6 +196,7 @@ util::Expected<JgfGraph> read_jgf(std::string_view text,
   }
 
   // Locate the root: the unique vertex without a containment parent.
+  // add_containment refuses cycles, so a non-empty graph always has one.
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
     if (g.vertex(v).containment_parent == graph::kInvalidVertex) {
       if (out.root != graph::kInvalidVertex) {
@@ -197,9 +205,6 @@ util::Expected<JgfGraph> read_jgf(std::string_view text,
       }
       out.root = v;
     }
-  }
-  if (out.root == graph::kInvalidVertex && g.vertex_count() > 0) {
-    return util::Error{Errc::invalid_argument, "jgf: containment cycle"};
   }
   return out;
 }

@@ -64,9 +64,20 @@ class JsonParser {
       return Node{};
     }
     const char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      // Containers recurse: cap the depth so "[[[[..." is a parse error,
+      // not a stack overflow.
+      if (depth_ == kMaxNestingDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+             " levels");
+        return Node{};
+      }
+      ++depth_;
+      Node n = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return n;
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
       case '"': return Node::make_scalar(parse_string());
       case 't':
         if (literal("true")) return Node::make_scalar("true");
@@ -227,6 +238,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   bool failed_ = false;
   util::Error error_;
 };

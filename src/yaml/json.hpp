@@ -13,7 +13,8 @@
 namespace fluxion::yaml {
 
 /// Parse one JSON value (object/array/string/number/bool/null). Errors
-/// carry byte offsets.
+/// carry byte offsets. Arrays and objects nest at most kMaxNestingDepth
+/// deep.
 util::Expected<Node> parse_json(std::string_view text);
 
 }  // namespace fluxion::yaml

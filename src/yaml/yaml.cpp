@@ -205,11 +205,32 @@ class Parser {
     return std::string(s);
   }
 
+  /// Counts one nesting level for its lifetime; false once past the cap.
+  class Nest {
+   public:
+    explicit Nest(int& depth) : depth_(depth) { ++depth_; }
+    ~Nest() { --depth_; }
+    bool ok() const { return depth_ <= kMaxNestingDepth; }
+
+   private:
+    int& depth_;
+  };
+
+  void fail_too_deep(int lineno) {
+    fail(lineno, "nesting deeper than " + std::to_string(kMaxNestingDepth) +
+                     " levels");
+  }
+
   /// A block of sibling items, all at exactly `indent`.
   Node parse_block(std::size_t indent) {
     if (done()) return Node{};
     if (cur().indent != indent) {
       fail(cur().lineno, "inconsistent indentation");
+      return Node{};
+    }
+    const Nest nest(depth_);
+    if (!nest.ok()) {
+      fail_too_deep(cur().lineno);
       return Node{};
     }
     if (is_dash_item(cur().text)) return parse_sequence(indent);
@@ -309,6 +330,11 @@ class Parser {
     while (pos < text.size() && text[pos] == ' ') ++pos;
     if (pos >= text.size()) return Node{};
     const char c = text[pos];
+    const Nest nest(depth_);
+    if ((c == '[' || c == '{') && !nest.ok()) {
+      fail_too_deep(lineno);
+      return Node{};
+    }
     if (c == '[') {
       ++pos;
       std::vector<Node> items;
@@ -403,6 +429,7 @@ class Parser {
 
   std::vector<Line> lines_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   bool failed_ = false;
   util::Error error_;
 };

@@ -72,7 +72,14 @@ class Node {
   std::vector<MapEntry> entries_;
 };
 
-/// Parse one YAML document. Errors carry 1-based line numbers.
+/// Deepest container nesting either parser accepts. Parsing recurses
+/// once per level, so the cap keeps adversarial input ("[[[[...",
+/// "- - - ...") a parse error rather than a stack overflow; real
+/// jobspecs and JGF documents nest a few dozen levels at most.
+inline constexpr int kMaxNestingDepth = 256;
+
+/// Parse one YAML document. Errors carry 1-based line numbers. Block and
+/// flow containers together nest at most kMaxNestingDepth deep.
 util::Expected<Node> parse(std::string_view text);
 
 }  // namespace fluxion::yaml

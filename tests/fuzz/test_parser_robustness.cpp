@@ -208,6 +208,50 @@ TEST(ParserRobustness, JgfMalformedEdgesNeverCrash) {
   }
 }
 
+TEST(ParserRobustness, JgfContainmentCyclesRejectedAndNamed) {
+  // Each used to overflow the stack in repath before the reader's
+  // after-the-fact cycle check could run.
+  const std::string node0 =
+      R"({"id":"0","metadata":{"type":"cluster","name":"c0","size":1}})";
+  const std::string node1 =
+      R"({"id":"1","metadata":{"type":"node","name":"n0","size":1}})";
+  {
+    auto r = writers::read_jgf(
+        R"({"graph":{"nodes":[)" + node0 +
+            R"(],"edges":[{"source":"0","target":"0"}]}})",
+        0, 1000);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error().code, util::Errc::invalid_argument);
+    EXPECT_NE(r.error().message.find(
+                  "edge '0' -> '0' would form a containment cycle"),
+              std::string::npos)
+        << r.error().message;
+  }
+  {
+    auto r = writers::read_jgf(
+        R"({"graph":{"nodes":[)" + node0 + "," + node1 +
+            R"(],"edges":[{"source":"0","target":"1"},)"
+            R"({"source":"1","target":"0"}]}})",
+        0, 1000);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error().code, util::Errc::invalid_argument);
+    EXPECT_NE(r.error().message.find(
+                  "edge '1' -> '0' would form a containment cycle"),
+              std::string::npos)
+        << r.error().message;
+  }
+}
+
+TEST(ParserRobustness, DeepNestingRejectedByReaders) {
+  // 1 MB of brackets used to overflow the JSON and YAML parsers under
+  // these readers (the parsers' own cases are in tests/yaml).
+  const std::string brackets(1 << 20, '[');
+  auto jgf = writers::read_jgf(brackets, 0, 1000);
+  ASSERT_FALSE(jgf);
+  EXPECT_EQ(jgf.error().code, util::Errc::parse_error);
+  EXPECT_FALSE(jobspec::Jobspec::from_yaml("resources: " + brackets));
+}
+
 TEST(ParserRobustness, ScenarioNeverCrashes) {
   const std::string seed =
       "2 100\n1 50 10\n"

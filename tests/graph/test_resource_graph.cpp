@@ -143,6 +143,79 @@ TEST_F(SmallCluster, AttachAlreadyPlacedFails) {
   EXPECT_EQ(g.attach_subtree(cluster, racks[0]).error().code, Errc::exists);
 }
 
+/// Everything a refused add_containment must leave untouched.
+struct ContainmentState {
+  std::size_t edges;
+  std::vector<VertexId> parents;
+  std::vector<std::string> paths;
+  std::vector<std::int32_t> non_up_below;
+  bool operator==(const ContainmentState&) const = default;
+};
+
+ContainmentState containment_state(const ResourceGraph& g) {
+  ContainmentState st{g.edge_count(), {}, {}, {}};
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    st.parents.push_back(g.vertex(v).containment_parent);
+    st.paths.push_back(g.vertex(v).path);
+    st.non_up_below.push_back(g.vertex(v).non_up_below);
+  }
+  return st;
+}
+
+TEST_F(SmallCluster, SelfContainmentRefused) {
+  // A detached vertex has no parent, so only the cycle check can refuse.
+  const VertexId lone = g.add_vertex("rack", "rack", 9, 1);
+  const auto before = containment_state(g);
+  EXPECT_EQ(g.add_containment(lone, lone).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(containment_state(g), before);
+  EXPECT_TRUE(g.validate());
+}
+
+TEST_F(SmallCluster, ChildToParentContainmentRefused) {
+  // The root's parent slot is free, so only the cycle check stops it
+  // becoming a child of its own child.
+  const auto before = containment_state(g);
+  EXPECT_EQ(g.add_containment(racks[0], cluster).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(containment_state(g), before);
+  EXPECT_TRUE(g.validate());
+}
+
+TEST_F(SmallCluster, GrandchildToRootContainmentRefused) {
+  const auto before = containment_state(g);
+  EXPECT_EQ(g.add_containment(nodes[3], cluster).error().code,
+            Errc::invalid_argument);
+  const VertexId core = g.containment_children(nodes[3])[0];
+  EXPECT_EQ(g.add_containment(core, cluster).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(containment_state(g), before);
+  EXPECT_TRUE(g.validate());
+}
+
+TEST_F(SmallCluster, AttachSubtreeOntoItselfRefused) {
+  ASSERT_TRUE(g.install_filter(cluster, {core_t}));
+  const VertexId rack = g.add_vertex("rack", "rack", 2, 1);
+  const VertexId node = g.add_vertex("node", "node", 4, 1);
+  ASSERT_TRUE(g.add_containment(rack, node));
+  const VertexId core = g.add_vertex("core", "core", 0, 1);
+  ASSERT_TRUE(g.add_containment(node, core));
+  const auto before = containment_state(g);
+  for (VertexId inside : {rack, node, core}) {
+    EXPECT_EQ(g.attach_subtree(inside, rack).error().code,
+              Errc::invalid_argument)
+        << inside;
+    EXPECT_EQ(containment_state(g), before) << inside;
+  }
+  const auto* f = g.vertex(cluster).filter.get();
+  EXPECT_EQ(f->planner_at(*f->index_of("core")).total(), 16);
+  EXPECT_TRUE(g.validate());
+  // The subtree is still attachable where it belongs.
+  ASSERT_TRUE(g.attach_subtree(cluster, rack));
+  EXPECT_EQ(g.vertex(core).path, "/cluster0/rack2/node4/core0");
+  EXPECT_TRUE(g.validate());
+}
+
 TEST_F(SmallCluster, SubsystemFilter) {
   EXPECT_TRUE(g.subsystem_visible(g.containment()));
   const auto power = g.intern_subsystem("power");

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "grug/grug.hpp"
@@ -45,6 +46,13 @@ struct Params {
   const char* policy;
   int steps;
 };
+
+// Prints the fields by value. Without it gtest dumps the raw bytes of the
+// struct, which hold the address of `policy` and padding, so the test
+// names reported by gtest_discover_tests changed from build to build.
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " policy=" << p.policy << " steps=" << p.steps;
+}
 
 class SchedulerStorm : public ::testing::TestWithParam<Params> {
  protected:

@@ -58,6 +58,27 @@ TEST(JsonParse, ErrorsCarryOffsets) {
   EXPECT_NE(r.error().message.find("json:"), std::string::npos);
 }
 
+TEST(JsonParse, NestingDepthCapped) {
+  // Unbounded recursion used to overflow the stack on 1 MB of '['.
+  auto deep = parse_json(std::string(1 << 20, '['));
+  ASSERT_FALSE(deep);
+  EXPECT_EQ(deep.error().code, util::Errc::parse_error);
+  EXPECT_NE(deep.error().message.find("nesting deeper than"),
+            std::string::npos)
+      << deep.error().message;
+  // The byte offset points at the first bracket past the cap.
+  EXPECT_NE(deep.error().message.find(
+                "json:" + std::to_string(kMaxNestingDepth) + ":"),
+            std::string::npos)
+      << deep.error().message;
+  EXPECT_FALSE(parse_json(std::string(1 << 20, '{')));
+
+  // Exactly at the cap still parses.
+  const auto n = static_cast<std::size_t>(kMaxNestingDepth);
+  EXPECT_TRUE(parse_json(std::string(n, '[') + std::string(n, ']')));
+  EXPECT_FALSE(parse_json(std::string(n + 1, '[') + std::string(n + 1, ']')));
+}
+
 TEST(JsonParse, RoundTripWithWriter) {
   // The writers::Json emitter and this parser must agree.
   const char* doc =

@@ -288,6 +288,43 @@ TEST(Yaml, DeepNestingTenLevels) {
   EXPECT_EQ(n->get("leaf")->as_i64(), 1);
 }
 
+TEST(YamlErrors, FlowNestingDepthCapped) {
+  // Unbounded recursion used to overflow the stack on "a: " + 1 MB of '['.
+  auto r = parse("a: " + std::string(1 << 20, '['));
+  ASSERT_FALSE(r);
+  EXPECT_EQ(r.error().code, util::Errc::parse_error);
+  EXPECT_NE(r.error().message.find("yaml:1: nesting deeper than"),
+            std::string::npos)
+      << r.error().message;
+  EXPECT_FALSE(parse("a: " + std::string(1 << 20, '{')));
+
+  // The mapping takes one level, so 255 flow levels fit under it.
+  const auto n = static_cast<std::size_t>(kMaxNestingDepth) - 1;
+  EXPECT_TRUE(parse("a: " + std::string(n, '[') + std::string(n, ']')));
+  EXPECT_FALSE(
+      parse("a: " + std::string(n + 1, '[') + std::string(n + 1, ']')));
+}
+
+TEST(YamlErrors, BlockNestingDepthCapped) {
+  // "- - - ... x" nests one block sequence per dash on a single line.
+  std::string dashes;
+  for (int i = 0; i < 1 << 19; ++i) dashes += "- ";
+  auto r = parse("# deep\n" + dashes + "x\n");
+  ASSERT_FALSE(r);
+  EXPECT_EQ(r.error().code, util::Errc::parse_error);
+  EXPECT_NE(r.error().message.find("yaml:2: nesting deeper than"),
+            std::string::npos)
+      << r.error().message;
+
+  // Exactly at the cap still parses: kMaxNestingDepth - 1 sequences
+  // around the scalar line, which is a block of its own.
+  std::string at_cap;
+  for (int i = 0; i < kMaxNestingDepth - 1; ++i) at_cap += "- ";
+  auto ok = parse(at_cap + "x\n");
+  ASSERT_TRUE(ok) << ok.error().message;
+  EXPECT_FALSE(parse("- " + at_cap + "x\n"));
+}
+
 TEST(Yaml, DumpRendersFlowStyle) {
   auto r = parse("a: [1, x]\nb: {c: 2}\n");
   ASSERT_TRUE(r);
