@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 
 namespace fluxion::queue {
 
@@ -266,6 +267,7 @@ JobId JobQueue::submit(jobspec::Jobspec spec, int priority,
   job.wait_since = now_;
   job.wait_cause =
       job.depends_on.empty() ? WaitCause::resources : WaitCause::dependency;
+  if (!job.depends_on.empty()) has_dependencies_ = true;
   if (log_.enabled()) {
     std::vector<std::pair<std::string, std::string>> args;
     args.emplace_back("priority", std::to_string(priority));
@@ -319,6 +321,7 @@ util::Expected<ExportedJob> JobQueue::export_pending(JobId id) {
                        "export: job has dependencies (queue-local ids)"};
   }
   for (const auto& [other_id, other] : jobs_) {
+    if (!has_dependencies_) break;  // no job in this queue depends on any
     if (other.state == JobState::completed ||
         other.state == JobState::canceled ||
         other.state == JobState::rejected) {
@@ -334,11 +337,13 @@ util::Expected<ExportedJob> JobQueue::export_pending(JobId id) {
   }
   mark_wait(job, job.wait_cause);  // close the open wait interval
   drop_speculation(id);
-  record_event(id, "export",
-               label_.empty()
-                   ? std::vector<std::pair<std::string, std::string>>{}
-                   : std::vector<std::pair<std::string, std::string>>{
-                         {"member", obs::event_str(label_)}});
+  if (log_.enabled()) {
+    record_event(id, "export",
+                 label_.empty()
+                     ? std::vector<std::pair<std::string, std::string>>{}
+                     : std::vector<std::pair<std::string, std::string>>{
+                           {"member", obs::event_str(label_)}});
+  }
   ExportedJob out;
   out.spec = std::move(job.spec);
   out.priority = job.priority;
@@ -463,10 +468,12 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
     if (auto hit = blocked_.find(key); hit != blocked_.end()) {
       ++stats_.match_skipped;
       if (obs::enabled()) obs::monitor().queue_match_skipped.inc();
-      record_event(job.id, "probe",
-                   {{"op", obs::event_str(op_label)},
-                    {"anchor", std::to_string(anchor)}});
-      record_event(job.id, "blocked", hit->second.attrib);
+      if (log_.enabled()) {
+        record_event(job.id, "probe",
+                     {{"op", obs::event_str(op_label)},
+                      {"anchor", std::to_string(anchor)}});
+        record_event(job.id, "blocked", hit->second.attrib);
+      }
       job.last_blocked = hit->second.attrib;
       job.last_blocked_time = now_;
       if (hit->second.code != Errc::resource_busy) {
@@ -479,9 +486,11 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
   }
   ++stats_.match_calls;
   if (obs::enabled()) obs::monitor().queue_match_calls.inc();
-  record_event(job.id, "probe",
-               {{"op", obs::event_str(op_label)},
-                {"anchor", std::to_string(anchor)}});
+  if (log_.enabled()) {
+    record_event(job.id, "probe",
+                 {{"op", obs::event_str(op_label)},
+                  {"anchor", std::to_string(anchor)}});
+  }
   auto r = run_match(job, allow_reserve, anchor);
 
   if (r) {
@@ -490,13 +499,14 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
     job.resources = std::move(r->resources);
     if (r->at > now_) {
       job.state = JobState::reserved;
-      ++stats_.reserved;
       note_reservation_made();
       mark_wait(job, WaitCause::reservation);
       push_event(job.start_time, kEventStart, job.id);
-      record_event(job.id, "reserve",
-                   {{"start", std::to_string(job.start_time)},
-                    {"end", std::to_string(job.end_time)}});
+      if (log_.enabled()) {
+        record_event(job.id, "reserve",
+                     {{"start", std::to_string(job.start_time)},
+                      {"end", std::to_string(job.end_time)}});
+      }
       obs::trace().sim_instant(
           "reserve", static_cast<double>(now_), job.id,
           {{"start", std::to_string(job.start_time)}});
@@ -506,8 +516,9 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
       if (obs::enabled()) obs::monitor().queue_started_immediately.inc();
       mark_wait(job, WaitCause::resources);  // wait over; close the interval
       push_event(job.end_time, kEventCompletion, job.id);
-      record_event(job.id, "alloc",
-                   {{"end", std::to_string(job.end_time)}});
+      if (log_.enabled()) {
+        record_event(job.id, "alloc", {{"end", std::to_string(job.end_time)}});
+      }
       record_event(job.id, "start");
       obs::trace().sim_instant("start", static_cast<double>(job.start_time),
                                job.id);
@@ -516,7 +527,7 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
   }
   const Errc code = r.error().code;
   auto attrib = render_blocked(code);
-  record_event(job.id, "blocked", attrib);
+  if (log_.enabled()) record_event(job.id, "blocked", attrib);
   job.last_blocked = attrib;
   job.last_blocked_time = now_;
   if (match_cache_enabled_ &&
@@ -676,13 +687,29 @@ void JobQueue::drop_speculation(JobId id) {
 }
 
 void JobQueue::note_reservation_made() {
+  ++reservations_live_;
+  ++stats_.reserved;
   ++stats_.reservations_made;
   if (obs::enabled()) obs::monitor().queue_reservations_made.inc();
 }
 
 void JobQueue::note_reservation_dropped() {
+  --reservations_live_;
+  --stats_.reserved;
   ++stats_.reservations_dropped;
   if (obs::enabled()) obs::monitor().queue_reservations_dropped.inc();
+}
+
+void JobQueue::audit_reservation_count() {
+  std::size_t recount = 0;
+  for (const auto& [id, job] : jobs_) {
+    if (job.state == JobState::reserved) ++recount;
+  }
+  if (recount == reservations_live_) return;
+  (void)util::internal_error(
+      "queue: live reservation count " + std::to_string(reservations_live_) +
+      " but " + std::to_string(recount) + " jobs are reserved");
+  reservations_live_ = recount;
 }
 
 void JobQueue::set_match_threads(std::size_t n) {
@@ -705,6 +732,7 @@ void JobQueue::set_match_threads(std::size_t n) {
 
 void JobQueue::schedule() {
   if (obs::enabled()) obs::monitor().queue_schedule_passes.inc();
+  if (traverser_.audit_enabled()) audit_reservation_count();
   if (pending_.empty()) return;
   switch (policy_) {
     case QueuePolicy::fcfs: {
@@ -733,12 +761,6 @@ void JobQueue::schedule() {
       // A reservation depth bounds how many reservations may be live at
       // once: past it, jobs may still allocate immediately but no longer
       // reserve, trading guarantee coverage for planner-span pressure.
-      std::size_t reservations = 0;
-      if (reservation_depth_ != 0) {
-        for (const auto& [id, job] : jobs_) {
-          if (job.state == JobState::reserved) ++reservations;
-        }
-      }
       bool progress = true;
       while (progress) {
         progress = false;
@@ -758,10 +780,16 @@ void JobQueue::schedule() {
             still.push_back(id);  // a dependency has no end time yet
             continue;
           }
-          const bool may_reserve =
-              reservation_depth_ == 0 || reservations < reservation_depth_;
+          const bool may_reserve = reservation_depth_ == 0 ||
+                                   reservations_live_ < reservation_depth_;
+          if (!may_reserve && *gate > now_) {
+            // Anchored at a dependency's future end, even a plain
+            // allocate is a reservation: past the depth it waits.
+            note_dependency_wait(job);
+            still.push_back(id);
+            continue;
+          }
           try_place(job, may_reserve);
-          if (job.state == JobState::reserved) ++reservations;
           if (job.state == JobState::pending) {
             still.push_back(id);
           } else {
@@ -779,14 +807,10 @@ void JobQueue::schedule() {
       // exactly one for EASY (the head blocked job), reservation_depth_
       // for hybrid (0 = every blocked job, conservative-strength
       // guarantees with EASY's single-pass structure).
-      std::size_t reservations = 0;
-      for (const auto& [id, job] : jobs_) {
-        if (job.state == JobState::reserved) ++reservations;
-      }
       const std::size_t budget =
           policy_ == QueuePolicy::easy_backfill
               ? 1
-              : (reservation_depth_ == 0 ? pending_.size() + reservations
+              : (reservation_depth_ == 0 ? pending_.size() + reservations_live_
                                          : reservation_depth_);
       std::deque<JobId> still_pending;
       while (!pending_.empty()) {
@@ -805,9 +829,8 @@ void JobQueue::schedule() {
         }
         try_place(job, /*allow_reserve=*/false);
         if (job.state == JobState::pending) {
-          if (reservations < budget) {
+          if (reservations_live_ < budget) {
             try_place(job, /*allow_reserve=*/true);
-            if (job.state == JobState::reserved) ++reservations;
           }
           if (job.state == JobState::pending) still_pending.push_back(id);
         }
@@ -862,6 +885,7 @@ util::Status JobQueue::fire_events_up_to(TimePoint t) {
     Job& job = jobs_.at(ev.id);
     if (ev.kind == kEventStart) {
       job.state = JobState::running;
+      --reservations_live_;
       job.start_time = fire_at;  // no-op unless the start was overdue
       mark_wait(job, WaitCause::resources);  // close the reservation wait
       push_event(job.end_time, kEventCompletion, job.id);
@@ -871,11 +895,14 @@ util::Status JobQueue::fire_events_up_to(TimePoint t) {
       job.state = JobState::completed;
       job.end_time = fire_at;  // no-op unless the completion was overdue
       ++stats_.completed;
-      record_event(ev.id, "finish",
-                   {{"wait_resources", std::to_string(job.wait.resources)},
-                    {"wait_reservation", std::to_string(job.wait.reservation)},
-                    {"wait_held", std::to_string(job.wait.held)},
-                    {"wait_dependency", std::to_string(job.wait.dependency)}});
+      if (log_.enabled()) {
+        record_event(
+            ev.id, "finish",
+            {{"wait_resources", std::to_string(job.wait.resources)},
+             {"wait_reservation", std::to_string(job.wait.reservation)},
+             {"wait_held", std::to_string(job.wait.held)},
+             {"wait_dependency", std::to_string(job.wait.dependency)}});
+      }
       if (obs::enabled()) {
         auto& m = obs::monitor();
         m.queue_completed.inc();
@@ -950,8 +977,6 @@ util::Status JobQueue::hold(JobId id) {
       // from the bookkeeping even when the span release reports
       // corruption; finish the hold and surface the status afterwards.
       released = traverser_.cancel(id);
-      // The reservation is gone; stats reflect a net un-reserve.
-      --stats_.reserved;
       note_reservation_dropped();
       job.start_time = -1;
       job.end_time = -1;
@@ -1039,6 +1064,7 @@ util::Status JobQueue::cancel(JobId id) {
 void JobQueue::reject_broken_dependents(util::Status& released) {
   // Cascade: dependents that have not started yet (pending or holding a
   // future reservation) can no longer run — their input is gone.
+  if (!has_dependencies_) return;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -1120,7 +1146,6 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
     if (job.state == JobState::reserved) {
       // Reservation re-planned: the next schedule() pass finds it a new
       // start on the surviving resources.
-      --stats_.reserved;
       note_reservation_dropped();
       enqueue_pending(job);
       result.replanned.push_back(id);
@@ -1165,7 +1190,6 @@ std::vector<JobId> JobQueue::replan_reserved() {
     Job& job = jobs_.at(id);
     if (job.state != JobState::reserved) continue;
     (void)traverser_.cancel(id);
-    --stats_.reserved;
     note_reservation_dropped();
     enqueue_pending(job);
     replanned.push_back(id);

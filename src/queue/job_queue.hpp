@@ -170,7 +170,8 @@ struct ExportedJob {
 struct QueueStats {
   std::uint64_t submitted = 0;
   std::uint64_t started_immediately = 0;  // allocated at submit/schedule time
-  std::uint64_t reserved = 0;             // got a future reservation
+  std::uint64_t reserved = 0;             // reservations granted, less
+                                          // those released before start
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
   double total_match_seconds = 0.0;
@@ -192,7 +193,9 @@ struct QueueStats {
   // Backfill reservation churn: monotone tallies of reservations granted
   // and of reservations released before their start fired (hold, cancel,
   // eviction re-plan, replan_reserved, broken-dependency reject). Unlike
-  // `reserved`, which is decremented on un-reserve, these never go down.
+  // `reserved`, which is decremented on every such release (so
+  // reserved == reservations_made - reservations_dropped), these never
+  // go down.
   std::uint64_t reservations_made = 0;
   std::uint64_t reservations_dropped = 0;
 };
@@ -436,9 +439,14 @@ class JobQueue {
   /// (cancel, hold, reject) — such probes would otherwise survive until
   /// the next epoch bump and skew the spec accounting.
   void drop_speculation(JobId id);
-  /// Mark a reservation granted / released-before-start in stats and obs.
+  /// Mark a reservation granted / released-before-start in stats, obs
+  /// and the live reservation count.
   void note_reservation_made();
   void note_reservation_dropped();
+  /// Audit-mode cross-check of reservations_live_ against a recount over
+  /// every job; a mismatch raises util::internal_error and the recount
+  /// wins.
+  void audit_reservation_count();
   /// Charge [wait_since, now) to the job's current wait cause, then make
   /// `next` the cause in effect. Idempotent at a fixed now.
   void mark_wait(Job& job, WaitCause next);
@@ -485,6 +493,14 @@ class JobQueue {
   std::unordered_map<JobId, Job> jobs_;
   std::vector<JobId> order_;    // submission order
   std::deque<JobId> pending_;   // not yet placed, submission order
+  /// Jobs in state `reserved` right now: the budget the backfill passes
+  /// compare against. Every transition into or out of `reserved` updates
+  /// it (note_reservation_made/dropped, start firing).
+  std::size_t reservations_live_ = 0;
+  /// Some job in this queue has `depends_on`. Set on submit, never
+  /// cleared; while false the dependent scans (cancel cascade, export
+  /// refusal) have nothing to find and are skipped.
+  bool has_dependencies_ = false;
   /// Mutable so next_event() const can account the stale-entry pops it
   /// performs while peeking.
   mutable QueueStats stats_;

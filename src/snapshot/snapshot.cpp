@@ -619,9 +619,13 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
     // Event heap, rebuilt canonically from job state: a reserved job's
     // future start, a running job's completion. The writer's heap may
     // additionally hold stale (lazily deleted) entries; those only ever
-    // affected its heap_pops tally, never an outcome.
+    // affected its heap_pops tally, never an outcome. The live
+    // reservation count and the dependency flag are derived from the same
+    // job states, so the format carries neither.
     for (const auto& [id, j] : q.jobs_) {
+      if (!j.depends_on.empty()) q.has_dependencies_ = true;
       if (j.state == queue::JobState::reserved) {
+        ++q.reservations_live_;
         q.push_event(j.start_time, queue::JobQueue::kEventStart, id);
       } else if (j.state == queue::JobState::running) {
         q.push_event(j.end_time, queue::JobQueue::kEventCompletion, id);

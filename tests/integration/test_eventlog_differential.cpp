@@ -8,12 +8,14 @@
 // serial path or a cache replay re-rendered its verdict.
 #include <cstddef>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "grug/grug.hpp"
+#include "param_bytes.hpp"
 #include "policy/policies.hpp"
 #include "sim/replay.hpp"
 #include "sim/workload.hpp"
@@ -39,6 +41,11 @@ struct Params {
   std::uint64_t seed;
   queue::QueuePolicy policy;
 };
+
+// Zeroes the padding in the case names (see param_bytes.hpp).
+void PrintTo(const Params& p, std::ostream* os) {
+  testing_support::print_param_bytes(p, os, &Params::seed, &Params::policy);
+}
 
 class QueueEventlogDifferential : public ::testing::TestWithParam<Params> {
  protected:

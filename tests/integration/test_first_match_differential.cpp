@@ -19,6 +19,7 @@
 //     mode — but feasibility may not).
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "grug/grug.hpp"
+#include "param_bytes.hpp"
 #include "policy/policies.hpp"
 #include "sim/replay.hpp"
 #include "sim/workload.hpp"
@@ -100,6 +102,11 @@ struct Params {
   std::uint64_t seed;
   queue::QueuePolicy policy;
 };
+
+// Zeroes the padding in the case names (see param_bytes.hpp).
+void PrintTo(const Params& p, std::ostream* os) {
+  testing_support::print_param_bytes(p, os, &Params::seed, &Params::policy);
+}
 
 class FirstMatchDifferential : public ::testing::TestWithParam<Params> {};
 

@@ -9,6 +9,7 @@
 // caught.
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +18,7 @@
 
 #include "dynamic/dynamic.hpp"
 #include "grug/grug.hpp"
+#include "param_bytes.hpp"
 #include "policy/policies.hpp"
 #include "sim/replay.hpp"
 #include "sim/scenario.hpp"
@@ -115,6 +117,11 @@ struct Params {
   std::uint64_t seed;
   queue::QueuePolicy policy;
 };
+
+// Zeroes the padding in the case names (see param_bytes.hpp).
+void PrintTo(const Params& p, std::ostream* os) {
+  testing_support::print_param_bytes(p, os, &Params::seed, &Params::policy);
+}
 
 class ParallelDifferential : public ::testing::TestWithParam<Params> {};
 

@@ -7,6 +7,7 @@
 // mutation it should have been invalidated by.
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -15,6 +16,7 @@
 
 #include "dynamic/dynamic.hpp"
 #include "grug/grug.hpp"
+#include "param_bytes.hpp"
 #include "policy/policies.hpp"
 #include "sim/replay.hpp"
 #include "sim/scenario.hpp"
@@ -101,6 +103,11 @@ struct Params {
   std::uint64_t seed;
   queue::QueuePolicy policy;
 };
+
+// Zeroes the padding in the case names (see param_bytes.hpp).
+void PrintTo(const Params& p, std::ostream* os) {
+  testing_support::print_param_bytes(p, os, &Params::seed, &Params::policy);
+}
 
 class QueueDifferential : public ::testing::TestWithParam<Params> {};
 

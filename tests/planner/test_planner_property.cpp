@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
+#include "param_bytes.hpp"
 #include "planner/planner.hpp"
 #include "util/rng.hpp"
 
@@ -63,6 +65,12 @@ struct Params {
   Duration horizon;
   int steps;
 };
+
+// Zeroes the padding in the case names (see param_bytes.hpp).
+void PrintTo(const Params& p, std::ostream* os) {
+  testing_support::print_param_bytes(p, os, &Params::seed, &Params::total,
+                                     &Params::horizon, &Params::steps);
+}
 
 class PlannerOracleTest : public ::testing::TestWithParam<Params> {};
 
