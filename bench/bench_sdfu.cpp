@@ -13,6 +13,13 @@
 //   FLUXION_BENCH_METRICS — write the obs counter/histogram catalogue as
 //                           JSON to this file (enables collection, which
 //                           perturbs the timings slightly)
+//
+// With metrics on, the filtered run also reports planner span adds per
+// committed job (obs counters: span adds over jobs started or reserved)
+// and nodes per committed job (node vertices in those jobs' resources).
+// Their ratio is the commit cost per node: a whole-node job books one
+// schedule span per node (its cores are covered, see docs/matching.md),
+// so it stays near 1 plus the per-job shared-use and filter spans.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +42,9 @@ struct Run {
   std::uint64_t pruned = 0;
   std::uint64_t attempts = 0;
   std::uint64_t reserved = 0;
+  std::uint64_t committed = 0;  // jobs started or reserved (obs)
+  std::uint64_t span_adds = 0;  // planner span adds (obs)
+  std::uint64_t nodes = 0;      // node vertices in committed jobs
 };
 
 Run run_once(bool prune, int racks, const std::vector<sim::TraceJob>& trace) {
@@ -47,10 +57,30 @@ Run run_once(bool prune, int racks, const std::vector<sim::TraceJob>& trace) {
     if (!js) std::exit(1);
     q.submit(*js);
   }
+  const auto& m = obs::monitor();
+  auto committed = [&m] {
+    return m.queue_started_immediately.value() +
+           m.queue_reservations_made.value();
+  };
+  const std::uint64_t committed0 = committed();
+  const std::uint64_t spans0 = m.planner_span_adds.value();
   const auto t0 = std::chrono::steady_clock::now();
   q.schedule();
   const auto t1 = std::chrono::steady_clock::now();
   Run r;
+  r.committed = committed() - committed0;
+  r.span_adds = m.planner_span_adds.value() - spans0;
+  const auto& g = (*rq)->graph();
+  const auto node_type = g.find_type("node");
+  for (queue::JobId id = 1; const queue::Job* job = q.find(id); ++id) {
+    if (job->state != queue::JobState::running &&
+        job->state != queue::JobState::reserved) {
+      continue;
+    }
+    for (const auto& ru : job->resources) {
+      if (g.vertex(ru.vertex).type == node_type) ++r.nodes;
+    }
+  }
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.visits = (*rq)->traverser().stats().visits;
   r.pruned = (*rq)->traverser().stats().pruned;
@@ -109,7 +139,10 @@ int main() {
            ",\"visits\":" + std::to_string(r.visits) +
            ",\"pruned\":" + std::to_string(r.pruned) +
            ",\"attempts\":" + std::to_string(r.attempts) +
-           ",\"reserved\":" + std::to_string(r.reserved) + "}";
+           ",\"reserved\":" + std::to_string(r.reserved) +
+           ",\"committed\":" + std::to_string(r.committed) +
+           ",\"span_adds\":" + std::to_string(r.span_adds) +
+           ",\"nodes\":" + std::to_string(r.nodes) + "}";
   };
   bench::Report rep("sdfu");
   rep.config_int("racks", racks);
@@ -124,6 +157,18 @@ int main() {
                                : 0.0);
   rep.extra("filters_off", run_json(off));
   rep.extra("filters_on", run_json(on));
+  if (obs::enabled() && on.committed > 0 && on.nodes > 0) {
+    const double spans_per_job = static_cast<double>(on.span_adds) /
+                                 static_cast<double>(on.committed);
+    const double nodes_per_job = static_cast<double>(on.nodes) /
+                                 static_cast<double>(on.committed);
+    std::printf("# filters on: %.1f planner span adds per committed job, "
+                "%.1f nodes per job (%.2f spans per node)\n",
+                spans_per_job, nodes_per_job, spans_per_job / nodes_per_job);
+    rep.ratio("span_adds_per_job", spans_per_job);
+    rep.ratio("nodes_per_job", nodes_per_job);
+    rep.ratio("span_adds_per_node", spans_per_job / nodes_per_job);
+  }
   if (obs::enabled()) rep.extra("obs", obs::monitor().json());
   if (!rep.write()) return 2;
   return 0;

@@ -85,6 +85,7 @@ util::Status ResourceGraph::add_edge(VertexId src, VertexId dst,
   }
   out_[src].push_back(Edge{dst, subsystem, relation});
   ++edge_count_;
+  if (relation == contains_) ++vertices_[dst].contains_in;
   return util::Status::ok();
 }
 
@@ -152,7 +153,7 @@ util::Status ResourceGraph::install_filter(VertexId v,
   for (InternId t : types) {
     const auto it = counts.find(t);
     const std::int64_t total = it == counts.end() ? 0 : it->second;
-    if (auto r = filter->add_resource(types_.name(t), total); !r) {
+    if (auto r = filter->add_resource(types_.name(t), total, t); !r) {
       return r.error();
     }
   }
@@ -219,7 +220,7 @@ util::Status ResourceGraph::resize_ancestor_filters(
     planner::PlannerMulti* filter = vertices_[a].filter.get();
     if (filter == nullptr) continue;
     for (const auto& [type, count] : delta) {
-      auto idx = filter->index_of(types_.name(type));
+      auto idx = filter->index_of_id(type);
       if (!idx) continue;
       planner::Planner& p = filter->planner_at(*idx);
       const std::int64_t old = p.total();
@@ -278,8 +279,7 @@ util::Status ResourceGraph::set_status(VertexId v, ResourceStatus s) {
   collect_subtree(v, subtree);
   if (s == ResourceStatus::down) {
     for (VertexId u : subtree) {
-      if (vertices_[u].schedule->span_count() != 0 ||
-          vertices_[u].x_checker->span_count() != 0) {
+      if (in_use(u)) {
         return util::Error{
             Errc::resource_busy,
             "set_status: subtree holds active allocations; evict first (" +
@@ -367,8 +367,7 @@ util::Status ResourceGraph::detach_subtree(VertexId v) {
   std::vector<VertexId> subtree;
   collect_subtree(v, subtree);
   for (VertexId u : subtree) {
-    if (vertices_[u].schedule->span_count() != 0 ||
-        vertices_[u].x_checker->span_count() != 0) {
+    if (in_use(u)) {
       return util::Error{Errc::resource_busy,
                          "detach_subtree: vertex has active allocations"};
     }
@@ -384,7 +383,9 @@ util::Status ResourceGraph::detach_subtree(VertexId v) {
     }
     auto& edges = out_[parent];
     edge_count_ -= std::erase_if(edges, [&](const Edge& e) {
-      return e.dst == v && e.subsystem == containment_;
+      if (e.dst != v || e.subsystem != containment_) return false;
+      if (e.relation == contains_) --vertices_[v].contains_in;
+      return true;
     });
     bump_ancestor_non_up(
         parent,
@@ -396,10 +397,23 @@ util::Status ResourceGraph::detach_subtree(VertexId v) {
     by_path_.erase(vertices_[u].path);
     --live_count_;
     --status_counts_[static_cast<std::size_t>(vertices_[u].status)];
-    edge_count_ -= out_[u].size();
-    out_[u].clear();
+    clear_out_edges(u);
   }
   return util::Status::ok();
+}
+
+bool ResourceGraph::in_use(VertexId u) const {
+  const Vertex& vx = vertices_[u];
+  return vx.schedule->span_count() != 0 || vx.x_checker->span_count() != 0 ||
+         vx.covered_claims != 0;
+}
+
+void ResourceGraph::clear_out_edges(VertexId u) {
+  for (const Edge& e : out_[u]) {
+    if (e.relation == contains_) --vertices_[e.dst].contains_in;
+  }
+  edge_count_ -= out_[u].size();
+  out_[u].clear();
 }
 
 void ResourceGraph::discard_detached_from(VertexId mark) {
@@ -413,8 +427,7 @@ void ResourceGraph::discard_detached_from(VertexId mark) {
     }
     --live_count_;
     --status_counts_[static_cast<std::size_t>(vx.status)];
-    edge_count_ -= out_[u].size();
-    out_[u].clear();
+    clear_out_edges(u);
   }
   // Unlike detach_subtree (whose names stay retired forever), a discard
   // rolls the transaction back completely: drop the creation records so

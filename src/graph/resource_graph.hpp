@@ -87,6 +87,17 @@ struct Vertex {
   /// detach along the affected root-paths only.
   std::int32_t non_up_below = 0;
   VertexId containment_parent = kInvalidVertex;
+  /// Incoming `contains` edges from any subsystem. A vertex with more than
+  /// one (the §5.1 rabbit, contained by its rack and by the cluster) can be
+  /// entered by a walk that bypasses its containment parent, so an
+  /// exclusive claim on an ancestor never books it (see the traverser's
+  /// covered claims).
+  std::uint32_t contains_in = 0;
+  /// Live covered claims on this vertex: claims booked by an exclusive
+  /// ancestor claim of the same job, which hold no schedule span of their
+  /// own. Maintained by the traverser; the span-freedom checks of
+  /// set_status/detach_subtree and LocalityPolicy count them as use.
+  std::int32_t covered_claims = 0;
 
   std::unique_ptr<planner::Planner> schedule;
   std::unique_ptr<planner::Planner> x_checker;
@@ -154,7 +165,7 @@ class ResourceGraph {
   // --- dynamic status (paper §6 use cases) --------------------------------
   /// Set the status of v and its whole containment subtree. Transitions to
   /// `down` require the subtree to hold no schedule or shared-use spans
-  /// (evict first) and subtract its capacity from every ancestor pruning
+  /// and no covered claims (evict first) and subtract its capacity from every ancestor pruning
   /// filter — the SDFU-style O(paths) update that keeps aggregate pruning
   /// exact. Un-downing restores the capacity. All-or-nothing: on internal
   /// failure every half-applied resize is rolled back.
@@ -177,7 +188,8 @@ class ResourceGraph {
   /// Detach v and its containment subtree: vertices are marked dead,
   /// edges from live vertices to them are removed, and every ancestor
   /// pruning filter gives up the subtree's aggregate capacity.
-  /// Fails with resource_busy if any subtree vertex has active spans.
+  /// Fails with resource_busy if any subtree vertex has active spans or
+  /// covered claims.
   util::Status detach_subtree(VertexId v);
 
   /// Re-attach a subtree built with add_vertex/add_containment under
@@ -237,6 +249,11 @@ class ResourceGraph {
                                        bool grow);
   void collect_subtree(VertexId v, std::vector<VertexId>& out) const;
   void bump_ancestor_non_up(VertexId from, std::int32_t delta);
+  /// Whether u carries any allocation: a schedule or shared-use span, or a
+  /// covered claim.
+  bool in_use(VertexId u) const;
+  /// Drop u's out-edges, releasing their `contains` in-degree.
+  void clear_out_edges(VertexId u);
   std::size_t reset_uniform_non_up(VertexId v, ResourceStatus s);
 
   TimePoint plan_start_;

@@ -16,13 +16,18 @@ PlannerMulti::PlannerMulti(TimePoint base, Duration horizon)
 }
 
 util::Expected<std::size_t> PlannerMulti::add_resource(std::string_view type,
-                                                       std::int64_t total) {
-  if (index_.contains(std::string(type))) {
+                                                       std::int64_t total,
+                                                       std::uint32_t id) {
+  if (index_.contains(std::string(type)) || index_of_id(id)) {
     return util::Error{Errc::exists, "add_resource: type already tracked"};
   }
   const std::size_t idx = planners_.size();
   planners_.push_back(std::make_unique<Planner>(base_, horizon_, total, type));
   index_.emplace(std::string(type), idx);
+  if (id != kNoId) {
+    if (by_id_.size() <= id) by_id_.resize(std::size_t{id} + 1, -1);
+    by_id_[id] = static_cast<std::int32_t>(idx);
+  }
   return idx;
 }
 

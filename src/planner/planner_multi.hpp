@@ -34,10 +34,17 @@ class PlannerMulti {
  public:
   PlannerMulti(TimePoint base, Duration horizon);
 
+  /// No caller id for a type (see add_resource).
+  static constexpr std::uint32_t kNoId = UINT32_MAX;
+
   /// Register a resource type with `total` units. Returns its index.
-  /// Fails with `exists` if the type is already tracked.
+  /// Fails with `exists` if the type is already tracked. `id` is the
+  /// caller's dense integer id for the type (the graph passes its type
+  /// InternId), so hot lookups can use index_of_id instead of hashing
+  /// the name.
   util::Expected<std::size_t> add_resource(std::string_view type,
-                                           std::int64_t total);
+                                           std::int64_t total,
+                                           std::uint32_t id = kNoId);
 
   std::size_t resource_count() const noexcept { return planners_.size(); }
   TimePoint base_time() const noexcept { return base_; }
@@ -45,6 +52,13 @@ class PlannerMulti {
 
   /// Index of a type; nullopt if untracked.
   std::optional<std::size_t> index_of(std::string_view type) const;
+
+  /// Index of the type registered under caller id `id`; nullopt if no
+  /// tracked type carries that id.
+  std::optional<std::size_t> index_of_id(std::uint32_t id) const {
+    if (id >= by_id_.size() || by_id_[id] < 0) return std::nullopt;
+    return static_cast<std::size_t>(by_id_[id]);
+  }
 
   /// The per-type planner (index from add_resource / index_of).
   Planner& planner_at(std::size_t i) { return *planners_.at(i); }
@@ -86,6 +100,7 @@ class PlannerMulti {
   Duration horizon_;
   std::vector<std::unique_ptr<Planner>> planners_;
   std::unordered_map<std::string, std::size_t> index_;
+  std::vector<std::int32_t> by_id_;  // caller id -> index, -1 = none
   // Multi-span id -> per-planner span ids (kInvalidSpan where count was 0).
   // Tail vectors cycle through the recycler so SDFU's add/rem churn reuses
   // their heap buffers instead of reallocating one per filter span.

@@ -37,13 +37,15 @@ void LocalityPolicy::order_candidates(const graph::ResourceGraph& g,
                                       std::vector<VertexId>& candidates)
     const {
   // Pack onto parents that are already in use: a parent whose x_checker or
-  // schedule shows activity right now sorts first; ties break on id.
+  // schedule shows activity right now, or that holds a covered claim (one
+  // booked by an exclusive ancestor's span), sorts first; ties break on id.
   auto busy_parent = [&](VertexId v) {
     const VertexId p = g.vertex(v).containment_parent;
     if (p == graph::kInvalidVertex) return 1;
     const graph::Vertex& px = g.vertex(p);
     const bool active = px.x_checker->span_count() > 0 ||
-                        px.schedule->span_count() > 0;
+                        px.schedule->span_count() > 0 ||
+                        px.covered_claims > 0;
     return active ? 0 : 1;
   };
   std::sort(candidates.begin(), candidates.end(),

@@ -1146,13 +1146,8 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
     if (job.state == JobState::reserved) {
       // Reservation re-planned: the next schedule() pass finds it a new
       // start on the surviving resources.
-      note_reservation_dropped();
-      enqueue_pending(job);
+      replan(job, prefix);
       result.replanned.push_back(id);
-      if (obs::enabled()) obs::monitor().dyn_replanned.inc();
-      record_event(id, "replan", {{"on", obs::event_str(prefix)}});
-      obs::trace().sim_instant("replan", static_cast<double>(now_), id,
-                               {{"on", obs::trace_str(prefix)}});
     } else if (policy == EvictPolicy::requeue) {
       enqueue_pending(job);
       result.requeued.push_back(id);
@@ -1163,6 +1158,7 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
       obs::trace().sim_instant("evict", static_cast<double>(now_), id,
                                {{"on", obs::trace_str(prefix)},
                                 {"action", obs::trace_str("requeue")}});
+      replan_dependents(prefix, result);
     } else {
       job.state = JobState::canceled;
       result.killed.push_back(id);
@@ -1184,19 +1180,46 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
   return result;
 }
 
+void JobQueue::replan(Job& job, const std::string& on) {
+  note_reservation_dropped();
+  enqueue_pending(job);
+  if (obs::enabled()) obs::monitor().dyn_replanned.inc();
+  record_event(job.id, "replan", {{"on", obs::event_str(on)}});
+  obs::trace().sim_instant("replan", static_cast<double>(now_), job.id,
+                           {{"on", obs::trace_str(on)}});
+}
+
+void JobQueue::replan_dependents(const std::string& on, EvictResult& result) {
+  // A requeued job has no known end any more, so a dependent holding a
+  // reservation anchored on its old end would start too early: drop it
+  // and let the next pass place it behind the dependency again
+  // (transitively, through dependents of dependents).
+  if (!has_dependencies_) return;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const JobId id : order_) {
+      Job& j = jobs_.at(id);
+      if (j.state != JobState::reserved || j.depends_on.empty()) continue;
+      const auto gate = dependency_gate(j);
+      if (!gate || *gate <= j.start_time) continue;
+      auto st = traverser_.cancel(id);
+      if (!st && result.released) result.released = st;
+      replan(j, on);
+      result.replanned.push_back(id);
+      changed = true;
+    }
+  }
+}
+
 std::vector<JobId> JobQueue::replan_reserved() {
   std::vector<JobId> replanned;
   for (const JobId id : order_) {
     Job& job = jobs_.at(id);
     if (job.state != JobState::reserved) continue;
     (void)traverser_.cancel(id);
-    note_reservation_dropped();
-    enqueue_pending(job);
+    replan(job, "grow");
     replanned.push_back(id);
-    if (obs::enabled()) obs::monitor().dyn_replanned.inc();
-    record_event(id, "replan", {{"on", obs::event_str("grow")}});
-    obs::trace().sim_instant("replan", static_cast<double>(now_), id,
-                             {{"on", obs::trace_str("grow")}});
   }
   return replanned;
 }

@@ -478,6 +478,13 @@ class JobQueue {
   /// Reject every pending/reserved job whose dependency chain is broken
   /// (transitively); folds release failures into `released`.
   void reject_broken_dependents(util::Status& released);
+  /// Return a reserved job, whose traverser reservation is already
+  /// released, to pending and record a "replan" on `on`.
+  void replan(Job& job, const std::string& on);
+  /// Re-plan every reserved job whose reservation starts before its
+  /// dependency gate now allows (transitively) — the dependents of a job
+  /// evict_on requeued; adds them to result.replanned.
+  void replan_dependents(const std::string& on, EvictResult& result);
   /// Dependency gate: nullopt when a dependency failed (job must be
   /// rejected); otherwise the earliest allowed start (kMaxTime while a
   /// dependency has no known end yet).

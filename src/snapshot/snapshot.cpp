@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -346,7 +347,9 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
         const std::string type = r.str();
         const std::int64_t total = r.iv();
         if (r.failed() || total < 0) return corrupt("filter");
-        if (!v.filter->add_resource(type, total)) {
+        const auto id = g.types_.find(type);
+        if (!v.filter->add_resource(
+                type, total, id ? *id : planner::PlannerMulti::kNoId)) {
           return corrupt("filter type");
         }
       }
@@ -371,6 +374,7 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
       }
       g.out_[i].push_back(edge);
       ++edge_count;
+      if (edge.relation == g.contains_) ++g.vertices_[edge.dst].contains_in;
     }
   }
   g.edge_count_ = edge_count;
@@ -466,15 +470,40 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
       wdw.start = r.iv();
       wdw.duration = r.iv();
       if (r.failed() || claim.vertex >= nverts) return corrupt("claim");
-      auto span = g.vertices_[claim.vertex].schedule->add_span(
-          wdw.start, wdw.duration, claim.units);
+      rec.claims.push_back({claim, wdw, planner::kInvalidSpan});
+    }
+    // Coverage is not stored: it follows from the under_exclusive flags,
+    // the windows and the graph, exactly as restore derives it. Covered
+    // claims are counted on their vertex; the rest get their span back.
+    std::multimap<graph::VertexId, util::TimeWindow> whole;
+    for (const auto& cc : rec.claims) {
+      if (cc.claim.whole_instance) whole.emplace(cc.claim.vertex, cc.window);
+    }
+    for (auto& cc : rec.claims) {
+      cc.claim.covered =
+          cc.claim.under_exclusive &&
+          t.covered_under(cc.claim.vertex, [&](graph::VertexId a) {
+            const auto [lo, hi] = whole.equal_range(a);
+            return std::any_of(lo, hi, [&](const auto& e) {
+              return e.second.start == cc.window.start &&
+                     e.second.duration == cc.window.duration;
+            });
+          });
+    }
+    for (auto& cc : rec.claims) {
+      graph::Vertex& vx = g.vertices_[cc.claim.vertex];
+      if (cc.claim.covered) {
+        ++vx.covered_claims;
+        continue;
+      }
+      auto span = vx.schedule->add_span(cc.window.start, cc.window.duration,
+                                        cc.claim.units);
       if (!span) {
         return util::Error{Errc::internal,
                            "snapshot: claim replay failed on vertex " +
-                               g.vertices_[claim.vertex].path + ": " +
-                               span.error().message};
+                               vx.path + ": " + span.error().message};
       }
-      rec.claims.push_back({claim, wdw, *span});
+      cc.span = *span;
     }
     const std::uint64_t nshared = r.uv();
     if (r.failed() || nshared > bytes.size()) return corrupt("shared spans");

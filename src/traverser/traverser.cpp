@@ -99,7 +99,7 @@ RejectReason Traverser::shareable_reason(VertexId v, const util::TimeWindow& w,
   return RejectReason::none;
 }
 
-RejectReason Traverser::exclusive_reason(VertexId v, const util::TimeWindow& w,
+RejectReason Traverser::selection_reason(VertexId v,
                                          const Selection& sel) const {
   if (sel.pending_excl.contains(v) || sel.shared_set.contains(v)) {
     return RejectReason::exclusivity;
@@ -107,6 +107,15 @@ RejectReason Traverser::exclusive_reason(VertexId v, const util::TimeWindow& w,
   if (auto it = sel.pending_units.find(v);
       it != sel.pending_units.end() && it->second > 0) {
     return RejectReason::exclusivity;
+  }
+  return RejectReason::none;
+}
+
+RejectReason Traverser::exclusive_reason(VertexId v, const util::TimeWindow& w,
+                                         const Selection& sel) const {
+  if (const RejectReason why = selection_reason(v, sel);
+      why != RejectReason::none) {
+    return why;
   }
   const graph::Vertex& vx = g_.vertex(v);
   // A whole-instance claim covers the containment subtree, so every
@@ -134,7 +143,7 @@ bool Traverser::filter_admits(VertexId v, const util::TimeWindow& w,
   for (util::InternId type : demand.touched()) {
     const std::int64_t amount = demand.at(type);
     if (amount <= 0) continue;
-    const auto idx = filter->index_of(g_.type_name(type));
+    const auto idx = filter->index_of_id(type);
     if (!idx) continue;  // type untracked by this filter
     if (!filter->planner_at(*idx).avail_during(w.start, w.duration, amount)) {
       return false;
@@ -371,7 +380,11 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
       return false;
     }
     if (exclusive) {
-      if (const RejectReason why = exclusive_reason(u, w, sel);
+      // A covered claim needs no planner query: no other job can hold a
+      // vertex its enclosing claim holds.
+      const bool covered = covered_in_walk(u, under, under_excl);
+      if (const RejectReason why = covered ? selection_reason(u, sel)
+                                           : exclusive_reason(u, w, sel);
           why != RejectReason::none) {
         if (sc.rejections.enabled) sc.rejections.add(ux.type, why);
         return false;
@@ -385,7 +398,7 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
         return false;
       }
       sel.push_claim(Claim{u, ux.size, /*exclusive=*/true,
-                           /*whole_instance=*/true, under_excl});
+                           /*whole_instance=*/true, under_excl, covered});
     } else {
       if (const RejectReason why = shareable_reason(u, w, sel);
           why != RejectReason::none) {
@@ -483,14 +496,19 @@ bool Traverser::satisfy_units(const jobspec::Resource& req, VertexId under,
       }
       return false;
     }
-    auto avail = ux.schedule->avail_resources_during(w.start, w.duration);
-    if (!avail) {
-      if (sc.rejections.enabled) {
-        sc.rejections.add(ux.type, RejectReason::busy);
+    // A covered vertex is wholly this job's: no planner query.
+    const bool covered = covered_in_walk(u, under, under_excl);
+    std::int64_t free = ux.size;
+    if (!covered) {
+      auto avail = ux.schedule->avail_resources_during(w.start, w.duration);
+      if (!avail) {
+        if (sc.rejections.enabled) {
+          sc.rejections.add(ux.type, RejectReason::busy);
+        }
+        return false;
       }
-      return false;
+      free = *avail;
     }
-    std::int64_t free = *avail;
     if (auto it = sel.pending_units.find(u); it != sel.pending_units.end()) {
       free -= it->second;
     }
@@ -503,16 +521,17 @@ bool Traverser::satisfy_units(const jobspec::Resource& req, VertexId under,
     }
     if (exclusive && take == ux.size) {
       // Whole-vertex exclusive claim: no shared walker may overlap.
-      if (const RejectReason why = exclusive_reason(u, w, sel);
+      if (const RejectReason why = covered ? selection_reason(u, sel)
+                                           : exclusive_reason(u, w, sel);
           why != RejectReason::none) {
         if (sc.rejections.enabled) sc.rejections.add(ux.type, why);
         return false;
       }
       sel.push_claim(Claim{u, take, true, /*whole_instance=*/true,
-                           under_excl});
+                           under_excl, covered});
     } else {
       sel.push_claim(Claim{u, take, exclusive, /*whole_instance=*/false,
-                           under_excl});
+                           under_excl, covered});
     }
     mark_chain(u, under, f.parent_of, sel);
     remaining -= take;
@@ -577,9 +596,8 @@ util::Status Traverser::release_record(JobRecord& rec) {
     detail = std::string("release_record: ") + what + " rem_span failed on " +
              g_.vertex(v).path + ": " + st.error().message;
   };
-  for (auto& cc : rec.claims) {
-    note(g_.vertex(cc.claim.vertex).schedule->rem_span(cc.span), "schedule",
-         cc.claim.vertex);
+  for (const CommittedClaim& cc : rec.claims) {
+    note(unbook(cc), "schedule", cc.claim.vertex);
   }
   for (auto& [v, id] : rec.shared_spans) {
     note(g_.vertex(v).x_checker->rem_span(id), "shared-use", v);
@@ -595,6 +613,30 @@ util::Status Traverser::release_record(JobRecord& rec) {
   return util::Status::ok();
 }
 
+bool Traverser::ancestors_admit(VertexId v, bool whole, TimePoint start,
+                                Duration d,
+                                std::unordered_set<VertexId>& checked) const {
+  if (whole &&
+      !g_.vertex(v).x_checker->avail_during(start, d, graph::kSharedUseMax)) {
+    return false;
+  }
+  for (VertexId a = g_.vertex(v).containment_parent;
+       a != graph::kInvalidVertex && a != root_ && !checked.contains(a);
+       a = g_.vertex(a).containment_parent) {
+    const graph::Vertex& ax = g_.vertex(a);
+    if (!ax.schedule->avail_during(start, d, ax.size)) return false;
+    checked.insert(a);
+  }
+  return true;
+}
+
+util::Status Traverser::unbook(const CommittedClaim& cc) {
+  graph::Vertex& vx = g_.vertex(cc.claim.vertex);
+  if (!cc.claim.covered) return vx.schedule->rem_span(cc.span);
+  --vx.covered_claims;
+  return util::Status::ok();
+}
+
 util::Status Traverser::apply_selection(JobRecord& rec,
                                         const util::TimeWindow& w,
                                         const Selection& sel) {
@@ -604,9 +646,7 @@ util::Status Traverser::apply_selection(JobRecord& rec,
   auto abort = [&](const char* what) -> util::Error {
     bool rollback_ok = true;
     while (rec.claims.size() > claims_mark) {
-      rollback_ok &= static_cast<bool>(
-          g_.vertex(rec.claims.back().claim.vertex)
-              .schedule->rem_span(rec.claims.back().span));
+      rollback_ok &= static_cast<bool>(unbook(rec.claims.back()));
       rec.claims.pop_back();
     }
     while (rec.shared_spans.size() > shared_mark) {
@@ -625,7 +665,14 @@ util::Status Traverser::apply_selection(JobRecord& rec,
         (rollback_ok ? "" : "; rollback incomplete"));
   };
 
+  // Only booked claims get a schedule span; a covered claim is booked by
+  // its enclosing exclusive claim's span and only counted on its vertex.
   for (const Claim& c : sel.claims) {
+    if (c.covered) {
+      ++g_.vertex(c.vertex).covered_claims;
+      rec.claims.push_back({c, w, planner::kInvalidSpan});
+      continue;
+    }
     auto span = add_span_checked(*g_.vertex(c.vertex).schedule, "apply:claim",
                                  w.start, w.duration, c.units);
     if (!span) return abort("schedule span rejected");
@@ -657,9 +704,7 @@ util::Status Traverser::apply_selection(JobRecord& rec,
       auto& counts = filter_updates[a];
       counts.resize(filter->resource_count(), 0);
       for (const auto& [type, amount] : contribution) {
-        if (auto idx = filter->index_of(g_.type_name(type))) {
-          counts[*idx] += amount;
-        }
+        if (auto idx = filter->index_of_id(type)) counts[*idx] += amount;
       }
     }
   }
@@ -776,10 +821,13 @@ util::Status Traverser::shrink_impl(JobId job, VertexId vertex) {
     return static_cast<bool>(back);
   };
   // Release the subtree's schedule spans; on a failed removal, restore the
-  // ones already released and report corruption.
+  // ones already released and report corruption. A covered claim has no
+  // span: its enclosing claim is either dropped too (it lies in the same
+  // subtree) or keeps the vertex booked.
   std::vector<std::size_t> removed;
   for (std::size_t i : drop_idx) {
     CommittedClaim& cc = rec.claims[i];
+    if (cc.claim.covered) continue;
     auto st = fault_fires("shrink:rem")
                   ? util::Status(util::internal_error("shrink: injected fault"))
                   : g_.vertex(cc.claim.vertex).schedule->rem_span(cc.span);
@@ -807,12 +855,17 @@ util::Status Traverser::shrink_impl(JobId job, VertexId vertex) {
     // rebuild restored the prior filter spans; restore the claims too.
     rec.claims = std::move(original);
     bool rollback_ok = true;
-    for (std::size_t i : drop_idx) rollback_ok &= readd(rec.claims[i]);
+    for (std::size_t i : removed) rollback_ok &= readd(rec.claims[i]);
     if (!rollback_ok) {
       return util::internal_error("shrink: " + st.error().message +
                                   "; rollback incomplete");
     }
     return st;
+  }
+  for (std::size_t i : drop_idx) {
+    if (original[i].claim.covered) {
+      --g_.vertex(original[i].claim.vertex).covered_claims;
+    }
   }
   refresh_resources(rec);
   return util::Status::ok();
@@ -837,13 +890,24 @@ util::Status Traverser::extend_impl(JobId job, Duration extra) {
   // shared-use, pruning filter) must accept the job's summed load over the
   // extension tail [old_end, old_end + extra). All of the job's spans end
   // at old_end, so the tail carries none of its load yet and a plain
-  // availability probe is exact.
-  std::map<VertexId, std::int64_t> tail_units;
+  // availability probe is exact. Booked claims are checked the way the
+  // walk checks them (ancestors_admit); covered claims ride on their
+  // enclosing claim, which is booked and checked here.
+  struct Tail {
+    std::int64_t units = 0;
+    bool whole = false;
+  };
+  std::map<VertexId, Tail> tail;
   for (const CommittedClaim& cc : rec.claims) {
-    if (cc.window.end() == old_end) tail_units[cc.claim.vertex] += cc.claim.units;
+    if (cc.window.end() != old_end || cc.claim.covered) continue;
+    Tail& t = tail[cc.claim.vertex];
+    t.units += cc.claim.units;
+    t.whole = t.whole || cc.claim.whole_instance;
   }
-  for (const auto& [v, units] : tail_units) {
-    if (!g_.vertex(v).schedule->avail_during(old_end, extra, units)) {
+  std::unordered_set<VertexId> checked;
+  for (const auto& [v, t] : tail) {
+    if (!g_.vertex(v).schedule->avail_during(old_end, extra, t.units) ||
+        !ancestors_admit(v, t.whole, old_end, extra, checked)) {
       return util::Error{Errc::resource_busy,
                          "extend: " + g_.vertex(v).path +
                              " is committed elsewhere after the job ends"};
@@ -896,7 +960,7 @@ util::Status Traverser::extend_impl(JobId job, Duration extra) {
     return ok;
   };
   for (CommittedClaim& cc : rec.claims) {
-    if (cc.window.end() != old_end) continue;
+    if (cc.window.end() != old_end || cc.claim.covered) continue;
     planner::Planner& p = *g_.vertex(cc.claim.vertex).schedule;
     auto st = p.rem_span(cc.span);
     auto span = st ? add_span_checked(p, "extend:claim", cc.window.start,
@@ -1008,7 +1072,13 @@ util::Status Traverser::extend_impl(JobId job, Duration extra) {
   }
 
   // Bookkeeping only after the last fallible step, so a failure above
-  // leaves duration and release_times_ exactly as they were.
+  // leaves duration and release_times_ exactly as they were. Covered
+  // claims keep the window of the claim that books them.
+  for (CommittedClaim& cc : rec.claims) {
+    if (cc.claim.covered && cc.window.end() == old_end) {
+      cc.window.duration += extra;
+    }
+  }
   rec.result.duration += extra;
   if (auto rt = release_times_.find(old_end); rt != release_times_.end()) {
     if (--rt->second == 0) release_times_.erase(rt);
@@ -1039,9 +1109,7 @@ util::Status Traverser::rebuild_filter_spans(JobRecord& rec) {
       entry.first = cc.window;
       entry.second.resize(filter->resource_count(), 0);
       for (const auto& [type, amount] : contribution) {
-        if (auto idx = filter->index_of(g_.type_name(type))) {
-          entry.second[*idx] += amount;
-        }
+        if (auto idx = filter->index_of_id(type)) entry.second[*idx] += amount;
       }
     }
   }
@@ -1112,23 +1180,41 @@ util::Status Traverser::rebuild_filter_spans(JobRecord& rec) {
   return util::Status::ok();
 }
 
+std::vector<std::int64_t> Traverser::root_filter_counts(
+    const jobspec::Jobspec& js) const {
+  const planner::PlannerMulti* filter = g_.vertex(root_).filter.get();
+  if (filter == nullptr) return {};
+  std::vector<std::int64_t> counts(filter->resource_count(), 0);
+  bool any = false;
+  // find_type, not intern_type: the probe path must not mutate the
+  // interner, and a type the graph never saw has no filter slot.
+  auto walk = [&](auto& self, const jobspec::Resource& r,
+                  std::int64_t mult) -> void {
+    const std::int64_t total = mult * r.count;
+    if (!r.is_slot()) {
+      if (auto t = g_.find_type(r.type)) {
+        if (auto idx = filter->index_of_id(*t)) {
+          counts[*idx] += total;
+          any = true;
+        }
+      }
+    }
+    for (const jobspec::Resource& c : r.with) self(self, c, total);
+  };
+  for (const jobspec::Resource& r : js.resources) walk(walk, r, 1);
+  if (!any) counts.clear();
+  return counts;
+}
+
 util::Expected<TimePoint> Traverser::next_candidate_time(
-    TimePoint after, Duration duration, const jobspec::Jobspec& js) const {
+    TimePoint after, Duration duration,
+    const std::vector<std::int64_t>& root_counts) const {
   // Fast-forward with the root pruning filter when available: the earliest
   // time the *aggregate* demand fits is a lower bound for a full match.
   // The _ro variant keeps this callable from concurrent probes.
-  const planner::PlannerMulti* filter = g_.vertex(root_).filter.get();
-  if (filter == nullptr) return after;
-  std::vector<std::int64_t> counts(filter->resource_count(), 0);
-  bool any = false;
-  for (const auto& [type, amount] : js.aggregate_counts()) {
-    if (auto idx = filter->index_of(type)) {
-      counts[*idx] = amount;
-      any = true;
-    }
-  }
-  if (!any) return after;
-  return filter->avail_time_first_ro(after, duration, counts);
+  if (root_counts.empty()) return after;
+  return g_.vertex(root_).filter->avail_time_first_ro(after, duration,
+                                                      root_counts);
 }
 
 Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
@@ -1221,9 +1307,10 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
     // ALLOCATE_ORELSE_RESERVE: resources only free up when a span ends, so
     // feasible starts are `now` or a future release time; the root pruning
     // filter fast-forwards over times where even the aggregate cannot fit.
+    const std::vector<std::int64_t> root_counts = root_filter_counts(js);
     TimePoint t = now;
     while (true) {
-      auto jumped = next_candidate_time(t, d, js);
+      auto jumped = next_candidate_time(t, d, root_counts);
       if (!jumped) {
         // Aggregate demand can never fit; distinguish unsatisfiable.
         p.error = jumped.error();
@@ -1261,7 +1348,8 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
       // concurrent probes). now itself means "aggregate fits but the
       // shape does not"; the next release time is then the earliest
       // instant anything can change.
-      if (auto jumped = next_candidate_time(now, js.duration, js)) {
+      if (auto jumped = next_candidate_time(now, js.duration,
+                                            root_filter_counts(js))) {
         TimePoint hint = *jumped;
         if (hint <= now) {
           auto it = release_times_.upper_bound(now);
@@ -1290,7 +1378,8 @@ util::Expected<MatchResult> Traverser::restore_impl(
   // Rebuild a Selection equivalent to the original commit: exclusive
   // whole-vertex claims keep their SDFU subtree semantics; everything
   // else is a quantity claim. Claims under a restored exclusive ancestor
-  // are skipped for filter updates exactly like a fresh match.
+  // are skipped for filter updates exactly like a fresh match, and those
+  // it covers (covered_under) get no span and no planner check.
   Selection sel;
   std::vector<VertexId> exclusive_roots;
   for (const ResourceUnit& ru : allocation.resources) {
@@ -1309,30 +1398,37 @@ util::Expected<MatchResult> Traverser::restore_impl(
       exclusive_roots.push_back(ru.vertex);
     }
   }
+  auto held = [&](VertexId a) {
+    return std::find(exclusive_roots.begin(), exclusive_roots.end(), a) !=
+           exclusive_roots.end();
+  };
   auto under_exclusive_root = [&](VertexId v) {
     for (VertexId a = g_.vertex(v).containment_parent;
          a != graph::kInvalidVertex; a = g_.vertex(a).containment_parent) {
-      for (VertexId r : exclusive_roots) {
-        if (a == r) return true;
-      }
+      if (held(a)) return true;
     }
     return false;
   };
+  std::unordered_set<VertexId> checked;
   for (const ResourceUnit& ru : allocation.resources) {
     const graph::Vertex& vx = g_.vertex(ru.vertex);
     const bool whole = ru.exclusive && ru.units == vx.size;
-    if (!vx.schedule->avail_during(w.start, w.duration, ru.units)) {
+    const bool under = under_exclusive_root(ru.vertex);
+    const bool covered = under && covered_under(ru.vertex, held);
+    if (!covered &&
+        (!vx.schedule->avail_during(w.start, w.duration, ru.units) ||
+         !ancestors_admit(ru.vertex, whole, w.start, w.duration, checked))) {
       return util::Error{Errc::resource_busy,
                          "restore: claim no longer fits on " + vx.path};
     }
-    const bool covered = under_exclusive_root(ru.vertex);
-    sel.push_claim(Claim{ru.vertex, ru.units, ru.exclusive, whole, covered});
+    sel.push_claim(
+        Claim{ru.vertex, ru.units, ru.exclusive, whole, under, covered});
     // Recreate the shared-use marks of the original walk: every
     // containment ancestor outside the job's own exclusive subtrees was
     // traversed shared, and must again repel other jobs' exclusive
     // claims. (A conservative superset of the original pass-through
     // chain for multi-subsystem matches.)
-    if (!covered) {
+    if (!under) {
       for (VertexId a = vx.containment_parent; a != graph::kInvalidVertex;
            a = g_.vertex(a).containment_parent) {
         sel.mark_shared(a);
@@ -1584,7 +1680,56 @@ bool Traverser::audit() const {
     if (vx.x_checker != nullptr && !vx.x_checker->validate()) return false;
     if (vx.filter != nullptr && !vx.filter->validate()) return false;
   }
-  return verify_filters();
+  return verify_claims() && verify_filters();
+}
+
+bool Traverser::verify_claims() const {
+  // Recounted from the job records alone, sharing no code with the
+  // commit path: every schedule span belongs to one booked claim, every
+  // covered-claim count matches, and every covered claim is booked by an
+  // exclusive whole-instance claim of its own job and window above it.
+  std::vector<std::size_t> booked(g_.vertex_count(), 0);
+  std::vector<std::int32_t> covered(g_.vertex_count(), 0);
+  for (const auto& [id, rec] : jobs_) {
+    std::unordered_map<VertexId, std::vector<const CommittedClaim*>> own;
+    for (const CommittedClaim& cc : rec.claims) {
+      if (!cc.claim.covered) own[cc.claim.vertex].push_back(&cc);
+    }
+    for (const CommittedClaim& cc : rec.claims) {
+      const VertexId v = cc.claim.vertex;
+      if (!cc.claim.covered) {
+        ++booked[v];
+        if (g_.vertex(v).schedule->find_span(cc.span) == nullptr) return false;
+        continue;
+      }
+      ++covered[v];
+      // No span of its own job on a covered vertex.
+      if (cc.span != planner::kInvalidSpan || own.contains(v)) return false;
+      // The booking claim: up through single-parent vertices only, never
+      // the root.
+      bool found = false;
+      for (VertexId p = v; !found;) {
+        if (g_.vertex(p).contains_in != 1) return false;
+        p = g_.vertex(p).containment_parent;
+        if (p == graph::kInvalidVertex || p == root_) return false;
+        if (auto it = own.find(p); it != own.end()) {
+          for (const CommittedClaim* o : it->second) {
+            found = found || (o->claim.exclusive && o->claim.whole_instance &&
+                              o->window.start == cc.window.start &&
+                              o->window.duration == cc.window.duration);
+          }
+        }
+      }
+    }
+  }
+  for (VertexId v = 0; v < g_.vertex_count(); ++v) {
+    const graph::Vertex& vx = g_.vertex(v);
+    if (vx.schedule->span_count() != booked[v] ||
+        vx.covered_claims != covered[v]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 util::Status Traverser::run_audit(const char* op) const {

@@ -115,6 +115,10 @@ class Traverser {
     bool exclusive;       // claimed under a slot / exclusive request
     bool whole_instance;  // full-vertex claim: SDFU uses subtree counts
     bool under_exclusive; // an ancestor claim already covers it for SDFU
+    // An exclusive whole-instance ancestor claim of the same job and
+    // window books it: no schedule span, no planner check (see
+    // covered_under).
+    bool covered;
   };
 
   struct Selection {
@@ -299,9 +303,17 @@ class Traverser {
   bool verify_filters() const;
 
   /// Deep structural audit: every vertex planner (schedule, x_checker,
-  /// filter) validates and verify_filters() holds. Expensive; the oracle
-  /// behind the post-mutation audit hook below.
+  /// filter) validates, verify_claims() and verify_filters() hold.
+  /// Expensive; the oracle behind the post-mutation audit hook below.
   bool audit() const;
+
+  /// Claim bookkeeping recounted from the job records (test hook): each
+  /// schedule span belongs to one booked claim, each vertex's
+  /// covered-claim count matches, and each covered claim has a booked
+  /// exclusive whole-instance ancestor claim of its own job and window,
+  /// reached through single-parent vertices, with no span of its own job
+  /// on the covered vertex.
+  bool verify_claims() const;
 
   /// Post-mutation audit hook (test/fuzzing aid). When enabled, every
   /// compound mutation (match, cancel, grow, shrink, extend, restore)
@@ -397,6 +409,35 @@ class Traverser {
   /// Why `v` cannot be claimed whole-and-exclusive (none = it can).
   RejectReason exclusive_reason(VertexId v, const util::TimeWindow& w,
                                 const Selection& sel) const;
+  /// The selection-only part of exclusive_reason: what a covered claim
+  /// still checks, since no other job can hold a covered vertex.
+  RejectReason selection_reason(VertexId v, const Selection& sel) const;
+
+  /// Whether a claim on `v` is covered: walking up v's containment
+  /// parents reaches a vertex for which `held(a)` holds (an exclusive
+  /// whole-instance claim of the same job and window) other than the
+  /// root, and every vertex on the way, v included, has exactly one
+  /// incoming `contains` edge. Every walk into v then passes through that
+  /// claim, whose schedule span books v too. The root is excluded because
+  /// walks start there without marking it shared, so its exclusive claim
+  /// does not see other jobs' use below it.
+  template <class Held>
+  bool covered_under(VertexId v, const Held& held) const {
+    for (VertexId p = v; g_.vertex(p).contains_in == 1;) {
+      const VertexId a = g_.vertex(p).containment_parent;
+      if (a == graph::kInvalidVertex) return false;
+      if (held(a)) return a != root_;
+      p = a;
+    }
+    return false;
+  }
+  /// covered_under for a walk candidate `u` reached from `under`: covered
+  /// only inside an exclusive claim of this selection (under_excl), and
+  /// then by `under` itself.
+  bool covered_in_walk(VertexId u, VertexId under, bool under_excl) const {
+    return under_excl &&
+           covered_under(u, [under](VertexId a) { return a == under; });
+  }
   bool vertex_shareable(VertexId v, const util::TimeWindow& w,
                         const Selection& sel) const {
     return shareable_reason(v, w, sel) == RejectReason::none;
@@ -436,12 +477,27 @@ class Traverser {
   /// Release every span held by rec (best effort: keeps going past a
   /// failed removal, then reports it as Errc::internal).
   util::Status release_record(JobRecord& rec);
+  /// Undo one committed claim: its schedule span, or its covered-claim
+  /// count.
+  util::Status unbook(const CommittedClaim& cc);
+  /// Whether the vertices above a booked claim on `v` admit it over
+  /// [start, start + d): every proper containment ancestor below the root
+  /// is free whole, as the walk's pass-through check demands (an
+  /// exclusive ancestor claim of another job books v without a span on
+  /// v), and, for a whole-instance claim, no shared walker overlaps v.
+  /// `checked` collects the ancestors already found free, so a batch of
+  /// claims queries each ancestor once.
+  bool ancestors_admit(VertexId v, bool whole, TimePoint start, Duration d,
+                       std::unordered_set<VertexId>& checked) const;
   /// Earliest aggregate-feasible start per the root pruning filter (read
   /// path: safe under concurrent probes).
-  util::Expected<TimePoint> next_candidate_time(TimePoint after,
-                                                Duration duration,
-                                                const jobspec::Jobspec& js)
-      const;
+  util::Expected<TimePoint> next_candidate_time(
+      TimePoint after, Duration duration,
+      const std::vector<std::int64_t>& root_counts) const;
+  /// The jobspec's aggregate demand laid out for the root pruning filter
+  /// (empty when there is no filter or it tracks none of the types).
+  std::vector<std::int64_t> root_filter_counts(
+      const jobspec::Jobspec& js) const;
 
   // --- mutation bodies (public entry points wrap these with the audit
   // hook) --------------------------------------------------------------------

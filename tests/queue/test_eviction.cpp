@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "policy/policies.hpp"
 #include "queue/job_queue.hpp"
+#include "util/check.hpp"
 
 namespace fluxion::queue {
 namespace {
@@ -197,6 +198,55 @@ TEST_F(EvictionFixture, EvictOnIdleSubtreeIsANoOp) {
   EXPECT_TRUE(r.killed.empty());
   EXPECT_TRUE(r.replanned.empty());
   EXPECT_EQ(q.find(a)->state, JobState::running);
+}
+
+TEST_F(EvictionFixture, RequeuedJobsReservedDependentsAreReplanned) {
+  // Conservative backfill: A holds two nodes for [0, 100) and its
+  // dependent E is reserved for [100, 110). Requeuing A at t=50 leaves A
+  // without a known end, so E must lose its reservation and wait for A's
+  // new run instead of starting at t=100.
+  const std::uint64_t internal_before = util::internal_error_count();
+  JobQueue q(*trav, QueuePolicy::conservative_backfill);
+  const JobId a = q.submit(whole_nodes(2, 100));
+  const JobId e = q.submit(whole_nodes(1, 10), 0, {a});
+  q.schedule();
+  ASSERT_EQ(q.find(a)->state, JobState::running);
+  ASSERT_EQ(q.find(e)->state, JobState::reserved);
+  ASSERT_EQ(q.find(e)->start_time, 100);
+  graph::VertexId second = graph::kInvalidVertex;
+  for (const auto& ru : q.find(a)->resources) {
+    if (g.type_name(g.vertex(ru.vertex).type) == std::string("node")) {
+      second = ru.vertex;  // resources are in vertex order: the last node
+    }
+  }
+  ASSERT_NE(second, graph::kInvalidVertex);
+  ASSERT_TRUE(q.advance_to(50));
+
+  auto r = q.evict_on(second, EvictPolicy::requeue);
+  ASSERT_TRUE(r.released) << r.released.error().message;
+  ASSERT_EQ(r.requeued, std::vector<JobId>{a});
+  ASSERT_EQ(r.replanned, std::vector<JobId>{e});
+  EXPECT_EQ(q.find(a)->state, JobState::pending);
+  EXPECT_EQ(q.find(e)->state, JobState::pending);
+  EXPECT_EQ(trav->find_job(e), nullptr);  // the reservation is gone
+  EXPECT_EQ(q.stats().reserved, 0u);
+  EXPECT_EQ(q.stats().reserved,
+            q.stats().reservations_made - q.stats().reservations_dropped);
+
+  q.schedule();
+  ASSERT_EQ(q.find(a)->state, JobState::running);
+  EXPECT_EQ(q.find(a)->start_time, 50);
+  ASSERT_EQ(q.find(e)->state, JobState::reserved);
+  EXPECT_EQ(q.find(e)->start_time, q.find(a)->end_time);
+  EXPECT_EQ(q.stats().reserved, 1u);
+  EXPECT_EQ(q.stats().reserved,
+            q.stats().reservations_made - q.stats().reservations_dropped);
+  ASSERT_TRUE(q.run_to_completion());
+  EXPECT_EQ(q.find(e)->state, JobState::completed);
+  EXPECT_GE(q.find(e)->start_time, q.find(a)->end_time);
+  EXPECT_EQ(q.stats().reserved,
+            q.stats().reservations_made - q.stats().reservations_dropped);
+  EXPECT_EQ(util::internal_error_count(), internal_before);
 }
 
 }  // namespace
