@@ -58,6 +58,10 @@ std::int64_t type_total(const graph::ResourceGraph& g, const char* type) {
 util::Expected<std::unique_ptr<Federation>> Federation::create(
     const grug::Recipe& recipe, const FederationConfig& cfg,
     const core::Options& options) {
+  if (cfg.match_threads != 1) {
+    return util::Error{Errc::invalid_argument,
+                       "federation: match_threads must be 1"};
+  }
   auto fed = std::unique_ptr<Federation>(new Federation);
   fed->cfg_ = cfg;
   if (fed->cfg_.levels < 1) fed->cfg_.levels = 1;
@@ -86,9 +90,6 @@ util::Expected<std::unique_ptr<Federation>> Federation::create(
         inst->engine().traverser(), fed->cfg_.queue_policy);
     m->queue->set_eventlog(fed->cfg_.eventlog);
     m->queue->set_match_cache(fed->cfg_.match_cache);
-    if (fed->cfg_.match_threads > 1) {
-      m->queue->set_match_threads(fed->cfg_.match_threads);
-    }
     m->queue->set_traversal_mode(fed->cfg_.traversal_mode);
     m->queue->set_reservation_depth(fed->cfg_.reservation_depth);
     if (label) m->queue->set_instance_label(m->name);

@@ -19,9 +19,9 @@
 //
 // Determinism contract. Routing, stealing and the lockstep clock are
 // pure functions of (config, submission order, member state): fixed
-// seeds give byte-identical per-member eventlogs on every run at any
-// `--match-threads`, for every routing policy. Wall-clock only ever
-// feeds the obs routing-latency histogram, never a decision.
+// seeds give byte-identical per-member eventlogs on every run, for every
+// routing policy. Wall-clock only ever feeds the obs routing-latency
+// histogram, never a decision.
 #pragma once
 
 #include <deque>
@@ -68,6 +68,7 @@ struct FederationConfig {
   // Queue features inherited by every member queue.
   bool eventlog = false;
   bool match_cache = true;
+  /// Member queues match on one thread; create() refuses any other value.
   std::size_t match_threads = 1;
   traverser::TraversalMode traversal_mode = traverser::TraversalMode::scored;
   std::size_t reservation_depth = 0;

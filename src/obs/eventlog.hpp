@@ -3,12 +3,11 @@
 // blocked-with-reason → reserve/alloc → start → evict/requeue →
 // finish/cancel — stamped with *simulated* time only.
 //
-// Determinism contract: events are recorded exclusively from the queue's
-// serial decision path (never from speculative probe workers, never with
-// wall-clock content), and a cache-replayed verdict records the same
-// event payload the original match produced. The JSONL export is
-// therefore byte-identical across `--match-threads 1/8` and cache
-// on/off — the differential tests in tests/integration pin this.
+// Determinism contract: events are recorded from the queue's decision
+// path with no wall-clock content, and a cache-replayed verdict records
+// the same event payload the original match produced. The JSONL export
+// is therefore byte-identical with the cache on and off — the
+// differential tests in tests/integration pin this.
 //
 // Unlike TraceLog (process-wide, dual-clock, Chrome-trace oriented), an
 // EventLog belongs to one owner — the JobQueue that records into it, or

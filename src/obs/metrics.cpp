@@ -58,13 +58,8 @@ void PerfMonitor::reset() {
   queue_jobs_scanned.reset();
   queue_match_skipped.reset();
   queue_cache_invalidations.reset();
-  queue_spec_probes.reset();
-  queue_spec_hits.reset();
-  queue_spec_misses.reset();
-  queue_spec_wasted.reset();
   queue_reservations_made.reset();
   queue_reservations_dropped.reset();
-  for (auto& h : probe_latency_us) h.reset();
   queue_depth.reset();
   queue_depth_samples.reset();
   job_wait.reset();
@@ -182,18 +177,8 @@ std::string PerfMonitor::json() const {
   kv(out, "jobs_scanned", queue_jobs_scanned.value());
   kv(out, "match_skipped", queue_match_skipped.value());
   kv(out, "cache_invalidations", queue_cache_invalidations.value());
-  kv(out, "spec_probes", queue_spec_probes.value());
-  kv(out, "spec_hits", queue_spec_hits.value());
-  kv(out, "spec_misses", queue_spec_misses.value());
-  kv(out, "spec_wasted", queue_spec_wasted.value());
   kv(out, "reservations_made", queue_reservations_made.value());
   kv(out, "reservations_dropped", queue_reservations_dropped.value());
-  out += ",\"probe_latency_us\":[";
-  for (std::size_t i = 0; i < probe_latency_us.size(); ++i) {
-    if (i > 0) out += ",";
-    out += probe_latency_us[i].json();
-  }
-  out += "]";
   kv(out, "depth", static_cast<std::uint64_t>(
                        queue_depth.value() < 0 ? 0 : queue_depth.value()));
   kv(out, "depth_max", static_cast<std::uint64_t>(
@@ -346,10 +331,6 @@ std::string PerfMonitor::prometheus() const {
   counter("queue_jobs_scanned", queue_jobs_scanned.value());
   counter("queue_match_skipped", queue_match_skipped.value());
   counter("queue_cache_invalidations", queue_cache_invalidations.value());
-  counter("queue_spec_probes", queue_spec_probes.value());
-  counter("queue_spec_hits", queue_spec_hits.value());
-  counter("queue_spec_misses", queue_spec_misses.value());
-  counter("queue_spec_wasted", queue_spec_wasted.value());
   counter("queue_reservations_made", queue_reservations_made.value());
   counter("queue_reservations_dropped", queue_reservations_dropped.value());
   gauge("queue_depth", queue_depth.value());
@@ -361,13 +342,6 @@ std::string PerfMonitor::prometheus() const {
   hist("wait_reservation_seconds", wait_reservation);
   hist("wait_held_seconds", wait_held);
   hist("wait_dependency_seconds", wait_dependency);
-  if (!probe_latency_us.empty()) {
-    out += "# TYPE fluxion_probe_latency_us histogram\n";
-    for (std::size_t i = 0; i < probe_latency_us.size(); ++i) {
-      hist_series("fluxion_probe_latency_us", probe_latency_us[i],
-                  "thread=\"" + std::to_string(i) + "\"");
-    }
-  }
 
   counter("dyn_status_flips", dyn_status_flips.value());
   counter("dyn_evicted_requeued", dyn_evicted_requeued.value());
@@ -468,19 +442,6 @@ std::string PerfMonitor::render(bool verbose) const {
     line(out, "cache-invalidations", queue_cache_invalidations.value());
     line(out, "reservations-made", queue_reservations_made.value());
     line(out, "reservations-dropped", queue_reservations_dropped.value());
-    if (queue_spec_probes.value() > 0) {
-      line(out, "spec-probes", queue_spec_probes.value());
-      line(out, "spec-hits", queue_spec_hits.value());
-      line(out, "spec-misses", queue_spec_misses.value());
-      line(out, "spec-wasted", queue_spec_wasted.value());
-      for (std::size_t i = 0; i < probe_latency_us.size(); ++i) {
-        if (probe_latency_us[i].count() == 0) continue;
-        char label[48];
-        std::snprintf(label, sizeof label, "probe latency t%zu (us)", i);
-        hist_summary(out, label, probe_latency_us[i]);
-        if (verbose) out += probe_latency_us[i].render();
-      }
-    }
     line(out, "depth", static_cast<std::uint64_t>(
                            queue_depth.value() < 0 ? 0 : queue_depth.value()));
     line(out, "depth-max", static_cast<std::uint64_t>(

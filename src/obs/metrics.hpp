@@ -7,12 +7,11 @@
 //   * Instrumentation must be cheap enough to leave compiled in: every
 //     update is a relaxed atomic increment behind the `enabled()` flag
 //     (one predictable branch on an inline global when disabled).
-//   * Counters and gauges are relaxed atomics: the traverser's probe
-//     phase runs concurrently on the queue's worker pool and several
-//     probes may hit the same counter. Relaxed ordering is enough — the
-//     values are monotone tallies, never used for synchronisation.
-//     Histograms stay unsynchronised; concurrent paths write only
-//     per-thread histograms (see probe_latency_us below).
+//   * Counters and gauges are relaxed atomics: the engine is
+//     single-threaded, but read replicas (snapshot::Replica, one per
+//     thread) share this monitor and may bump the same counter at once.
+//     Relaxed ordering is enough — the values are monotone tallies, never
+//     used for synchronisation.
 //   * One process-wide monitor, not per-context: tools enable it, run,
 //     and export one metrics document (`PerfMonitor::json`).
 #pragma once
@@ -20,15 +19,15 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <string>
-#include <vector>
 
 #include "util/histogram.hpp"
 
 namespace fluxion::obs {
 
 /// Monotonic event count; reset only via clear-stats. Increments may
-/// come from concurrent probe threads, hence the relaxed atomic.
+/// come from replicas on different threads, hence the relaxed atomic.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
@@ -141,12 +140,6 @@ struct PerfMonitor {
   Counter queue_jobs_scanned;    // event-heap pops (valid + stale entries)
   Counter queue_match_skipped;   // matches avoided by the satisfiability cache
   Counter queue_cache_invalidations;  // cache drops after a graph mutation
-  // Speculative parallel match pipeline (docs/extending.md, "Concurrency
-  // contract"): probe executions vs. how many were consumed at commit.
-  Counter queue_spec_probes;     // probe phases executed (incl. wasted ones)
-  Counter queue_spec_hits;       // speculative probes consumed at commit time
-  Counter queue_spec_misses;     // probes found stale at consume (re-probed)
-  Counter queue_spec_wasted;     // probes invalidated before being looked at
   // Backfill reservations: planner spans granted to head-blocked jobs and
   // spans released before running (hold/cancel/evict/replan).
   Counter queue_reservations_made;
@@ -162,17 +155,6 @@ struct PerfMonitor {
   util::Histogram wait_reservation{0.0, 1048576.0, 64};
   util::Histogram wait_held{0.0, 1048576.0, 64};
   util::Histogram wait_dependency{0.0, 1048576.0, 64};
-  /// Per-worker probe wall-clock latency. Sized serially (before any
-  /// batch runs) via ensure_probe_threads; worker w writes only
-  /// probe_latency_us[w], so the histograms need no synchronisation.
-  std::vector<util::Histogram> probe_latency_us;
-  /// Grow the per-worker histogram set to at least `n` entries. Must be
-  /// called from the serial path, never while a probe batch is running.
-  void ensure_probe_threads(std::size_t n) {
-    while (probe_latency_us.size() < n) {
-      probe_latency_us.emplace_back(0.0, 100000.0, 50);
-    }
-  }
 
   // --- dynamic resources (status flips, eviction, grow/shrink) -------------
   Counter dyn_status_flips;       // set_status calls that changed state
@@ -209,6 +191,9 @@ struct PerfMonitor {
   Counter snap_bytes;             // total snapshot bytes produced
   util::Histogram snap_save_us{0.0, 100000.0, 50};
   util::Histogram snap_load_us{0.0, 100000.0, 50};
+  /// Guards the two snap_* histograms: replicas on different threads
+  /// load snapshots at the same time, and histograms are not atomic.
+  std::mutex snap_mu;
   Counter replica_queries;        // queries served by read replicas
   Counter replica_stale;          // staleness checks finding the writer ahead
 

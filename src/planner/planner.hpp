@@ -15,14 +15,12 @@
 // A point exists only where the in-use amount changes; `in_use` holds for
 // the half-open interval from the point to the next point.
 //
-// Thread-safety (see docs/extending.md, "Concurrency contract"): the
-// const read path — avail_at, avail_during, avail_resources_during,
-// avail_time_first_ro, find_span — touches no planner state and is safe
-// to call from concurrent probe threads AS LONG AS no mutation (add_span,
-// rem_span, resize_total, or the mutating avail_time_first, which
-// temporarily unlinks ET nodes) runs at the same time. Probes and
-// mutations are serialised by the queue's speculation barrier, not by
-// the planner itself.
+// Thread-safety (see docs/extending.md, "Concurrency contract"): a planner
+// belongs to one engine, which one thread drives. The const read path —
+// avail_at, avail_during, avail_resources_during, avail_time_first_ro,
+// find_span — touches no planner state, so read-only callers (a
+// snapshot::Replica's probes) never mutate their engine; the mutating
+// avail_time_first temporarily unlinks ET nodes.
 #pragma once
 
 #include <cstdint>
@@ -152,13 +150,13 @@ class Planner {
                                              Duration duration,
                                              std::int64_t request);
 
-  /// Read-only avail_time_first for concurrent probes: walks the SP tree
+  /// Read-only avail_time_first for const probes: walks the SP tree
   /// in time order instead of set-aside iteration on the ET tree, so it
   /// never touches planner state. Returns exactly what avail_time_first
   /// returns — both visit feasible starts in increasing time order and
   /// accept the first span_ok window — at O(points past on_or_after)
   /// instead of O(log N) per candidate; the probe path trades that for
-  /// thread safety.
+  /// leaving the planner untouched.
   util::Expected<TimePoint> avail_time_first_ro(TimePoint on_or_after,
                                                 Duration duration,
                                                 std::int64_t request) const;

@@ -84,7 +84,7 @@ class PlannerMulti {
                                              Duration duration,
                                              Counts counts);
 
-  /// Read-only avail_time_first for concurrent probes: same cross-type
+  /// Read-only avail_time_first for const probes: same cross-type
   /// anchor loop, but delegating to Planner::avail_time_first_ro so no
   /// planner state is touched. Results identical to avail_time_first.
   util::Expected<TimePoint> avail_time_first_ro(TimePoint on_or_after,

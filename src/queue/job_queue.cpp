@@ -153,7 +153,6 @@ void JobQueue::reject_job(Job& job, const char* why) {
   job.state = JobState::rejected;
   ++stats_.rejected;
   if (obs::enabled()) obs::monitor().queue_rejected.inc();
-  drop_speculation(job.id);
   record_event(job.id, "reject", {{"why", obs::event_str(why)}});
 }
 
@@ -233,16 +232,6 @@ std::string JobQueue::cache_key(Job& job, bool allow_reserve,
   key += '|';
   key += std::to_string(reservation_depth_);
   return key;
-}
-
-void JobQueue::set_traversal_mode(traverser::TraversalMode m) {
-  if (m == traversal_mode_) return;
-  traversal_mode_ = m;
-  // Parked probes walked under the old mode; committing one now would
-  // smuggle an old-mode placement into a new-mode schedule.
-  stats_.spec_wasted += spec_.size();
-  if (obs::enabled()) obs::monitor().queue_spec_wasted.inc(spec_.size());
-  spec_.clear();
 }
 
 void JobQueue::test_rewind_reservation(JobId id, TimePoint start) {
@@ -336,7 +325,6 @@ util::Expected<ExportedJob> JobQueue::export_pending(JobId id) {
     }
   }
   mark_wait(job, job.wait_cause);  // close the open wait interval
-  drop_speculation(id);
   if (log_.enabled()) {
     record_event(id, "export",
                  label_.empty()
@@ -548,142 +536,13 @@ util::Expected<traverser::MatchResult> JobQueue::run_match(
     Job& job, bool allow_reserve, TimePoint anchor) {
   const MatchOp op =
       allow_reserve ? MatchOp::allocate_orelse_reserve : MatchOp::allocate;
-  if (match_threads_ <= 1) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = traverser_.match(job.spec, op, anchor, job.id, traversal_mode_);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    job.match_seconds += secs;
-    stats_.total_match_seconds += secs;
-    return r;
-  }
-  // Speculative pipeline. Everything the serial path would have done is
-  // reproduced exactly: a consumed probe is the same probe match() would
-  // run (same spec/op/anchor against the same epoch), and commit() is the
-  // same serial tail — so placements are byte-identical to threads == 1.
-  drop_stale_speculations();
-  auto it = spec_.find(job.id);
-  if (it == spec_.end()) {
-    speculate_batch(job, allow_reserve, anchor);
-    it = spec_.find(job.id);
-  }
-  traverser::Traverser::Probe probe;
-  bool hit = false;
-  if (it != spec_.end()) {
-    SpecEntry entry = std::move(it->second);
-    spec_.erase(it);
-    if (entry.allow_reserve == allow_reserve && entry.anchor == anchor &&
-        entry.probe.mode == traversal_mode_ &&
-        entry.probe.epoch == traverser_.mutation_epoch()) {
-      probe = std::move(entry.probe);
-      hit = true;
-    }
-  }
-  if (hit) {
-    ++stats_.spec_hits;
-    if (obs::enabled()) obs::monitor().queue_spec_hits.inc();
-  } else {
-    // The parked probe answered a different question (op or anchor moved,
-    // e.g. easy backfill's reserve retry, or a dependency end shifted) —
-    // fall back to the serial probe the plain path would have run.
-    ++stats_.spec_misses;
-    if (obs::enabled()) obs::monitor().queue_spec_misses.inc();
-    probe = traverser_.probe(job.spec, op, anchor, job.id, scratches_[0],
-                             traversal_mode_);
-  }
-  const double probe_secs = probe.seconds;
   const auto t0 = std::chrono::steady_clock::now();
-  auto r = traverser_.commit(std::move(probe));
+  auto r = traverser_.match(job.spec, op, anchor, job.id, traversal_mode_);
   const auto t1 = std::chrono::steady_clock::now();
-  const double secs =
-      probe_secs + std::chrono::duration<double>(t1 - t0).count();
+  const double secs = std::chrono::duration<double>(t1 - t0).count();
   job.match_seconds += secs;
   stats_.total_match_seconds += secs;
   return r;
-}
-
-void JobQueue::speculate_batch(const Job& head, bool head_allow_reserve,
-                               TimePoint head_anchor) {
-  struct Item {
-    JobId id;
-    bool allow_reserve;
-    TimePoint anchor;
-  };
-  // The head decision plus a lookahead window over the jobs this pass is
-  // about to consider, under the op/anchor the policy will actually use
-  // for them. Jobs the pass will skip anyway (unready gates, cached
-  // failures) are not worth a probe; jobs with broken dependencies are
-  // skipped too — rejecting is the consume path's decision, speculation
-  // must not alter queue state.
-  std::vector<Item> items;
-  const std::size_t limit = 2 * match_threads_;
-  items.push_back({head.id, head_allow_reserve, head_anchor});
-  const bool lookahead_reserve = policy_ == QueuePolicy::conservative_backfill;
-  for (const JobId id : pending_) {
-    if (items.size() >= limit) break;
-    if (id == head.id || spec_.contains(id)) continue;
-    Job& job = jobs_.at(id);
-    const auto gate = dependency_gate(job);
-    if (!gate) continue;
-    TimePoint anchor = now_;
-    if (lookahead_reserve) {
-      if (*gate == util::kMaxTime) continue;  // no end time to anchor on yet
-      anchor = *gate;
-    } else if (*gate > now_) {
-      continue;  // fcfs/easy will not try it this pass
-    }
-    if (match_cache_enabled_ &&
-        blocked_.contains(cache_key(job, lookahead_reserve, anchor))) {
-      continue;  // the consume path replays the cached failure instead
-    }
-    items.push_back({id, lookahead_reserve, anchor});
-  }
-  if (obs::enabled()) obs::monitor().ensure_probe_threads(match_threads_);
-  // Workers only read the frozen graph/traverser and their own scratch and
-  // result slot; run_batch is a full barrier, and no mutation can run
-  // while it is live (the queue itself is the only mutator).
-  std::vector<traverser::Traverser::Probe> probes(items.size());
-  pool_->run_batch(items.size(), [&](std::size_t i, std::size_t w) {
-    const Item& item = items[i];
-    const Job& j = jobs_.at(item.id);
-    probes[i] = traverser_.probe(
-        j.spec,
-        item.allow_reserve ? MatchOp::allocate_orelse_reserve
-                           : MatchOp::allocate,
-        item.anchor, item.id, scratches_[w], traversal_mode_);
-    if (obs::enabled()) {
-      obs::monitor().probe_latency_us[w].add(probes[i].seconds * 1e6);
-    }
-  });
-  stats_.spec_probes += items.size();
-  if (obs::enabled()) obs::monitor().queue_spec_probes.inc(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    spec_.emplace(items[i].id, SpecEntry{std::move(probes[i]),
-                                         items[i].allow_reserve,
-                                         items[i].anchor});
-  }
-}
-
-void JobQueue::drop_stale_speculations() {
-  if (spec_.empty()) return;
-  const std::uint64_t epoch = traverser_.mutation_epoch();
-  for (auto it = spec_.begin(); it != spec_.end();) {
-    if (it->second.probe.epoch != epoch) {
-      ++stats_.spec_wasted;
-      if (obs::enabled()) obs::monitor().queue_spec_wasted.inc();
-      it = spec_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void JobQueue::drop_speculation(JobId id) {
-  auto it = spec_.find(id);
-  if (it == spec_.end()) return;
-  spec_.erase(it);
-  ++stats_.spec_wasted;
-  if (obs::enabled()) obs::monitor().queue_spec_wasted.inc();
 }
 
 void JobQueue::note_reservation_made() {
@@ -713,20 +572,9 @@ void JobQueue::audit_reservation_count() {
 }
 
 void JobQueue::set_match_threads(std::size_t n) {
-  if (n < 1) n = 1;
-  if (n == match_threads_) return;
-  match_threads_ = n;
-  stats_.spec_wasted += spec_.size();
-  if (obs::enabled()) {
-    obs::monitor().queue_spec_wasted.inc(spec_.size());
-  }
-  spec_.clear();
-  pool_.reset();
-  scratches_.clear();
-  if (n > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(n);
-    scratches_.resize(n);
-    obs::monitor().ensure_probe_threads(n);
+  if (n != 1) {
+    (void)util::internal_error("queue: match_threads " + std::to_string(n) +
+                               " requested; the queue matches on one thread");
   }
 }
 
@@ -990,10 +838,6 @@ util::Status JobQueue::hold(JobId id) {
   job.state = JobState::held;
   mark_wait(job, WaitCause::held);
   record_event(id, "hold");
-  // A probe parked while the job was schedulable must not stay
-  // consumable: the job is out of contention until released, and the
-  // spec_hits/spec_wasted books must say so.
-  drop_speculation(id);
   return released;
 }
 
@@ -1049,12 +893,6 @@ util::Status JobQueue::cancel(JobId id) {
   const bool was_waiting = job.state != JobState::running;
   job.state = JobState::canceled;
   if (was_waiting) mark_wait(job, job.wait_cause);  // close the open interval
-  // Sweep the canceled job's parked probe immediately. Cancelling a
-  // pending/held job does not move the mutation epoch (nothing was
-  // committed), so without this the probe would stay consumable — and a
-  // later resubmit-style id reuse or accounting read would see a phantom
-  // hit where a waste happened.
-  drop_speculation(id);
   record_event(id, "cancel");
   obs::trace().sim_instant("cancel", static_cast<double>(now_), id);
   reject_broken_dependents(released);

@@ -21,8 +21,8 @@
 //
 // `set_reservation_depth(k)` bounds how many reservations conservative
 // and hybrid backfill may hold at once; `set_traversal_mode` selects the
-// traverser mode (scored vs first-match) every placement decision —
-// serial or speculative — runs under.
+// traverser mode (scored vs first-match) every placement decision runs
+// under.
 #pragma once
 
 #include <chrono>
@@ -30,7 +30,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <string>
@@ -41,7 +40,6 @@
 #include "obs/eventlog.hpp"
 #include "traverser/traverser.hpp"
 #include "util/expected.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fluxion::snapshot {
 class EngineSnapshot;
@@ -183,13 +181,6 @@ struct QueueStats {
   std::uint64_t match_calls = 0;     // traverser matches actually issued
   std::uint64_t match_skipped = 0;   // matches avoided by the cache
   std::uint64_t cache_invalidations = 0;  // cache drops after a mutation
-  // Speculative match pipeline (match_threads > 1). A probe is wasted when
-  // a commit invalidated it before any consumer looked at it; a miss is a
-  // consume-time mismatch (op/anchor/epoch) that forced a serial re-probe.
-  std::uint64_t spec_probes = 0;  // speculative probe phases executed
-  std::uint64_t spec_hits = 0;    // probes consumed by a matching commit
-  std::uint64_t spec_misses = 0;  // consume-time mismatches, re-probed
-  std::uint64_t spec_wasted = 0;  // probes invalidated before consumption
   // Backfill reservation churn: monotone tallies of reservations granted
   // and of reservations released before their start fired (hold, cancel,
   // eviction re-plan, replan_reserved, broken-dependency reject). Unlike
@@ -283,26 +274,17 @@ class JobQueue {
   void set_match_cache(bool on);
   bool match_cache() const noexcept { return match_cache_enabled_; }
 
-  /// Size the speculative match pipeline. With n > 1, each scheduling
-  /// decision fans the *probe* phase of the next batch of pending jobs out
-  /// over n worker threads against the frozen graph; winners are committed
-  /// serially in policy order, and a probe whose mutation epoch moved
-  /// before its turn is transparently re-probed. Placements are therefore
-  /// byte-identical to n == 1 at any thread count — speculation only
-  /// overlaps the read-only search work. n <= 1 restores the plain serial
-  /// path (no pool, no per-probe overhead). Dropping or resizing the pool
-  /// discards in-flight speculations (counted as wasted).
+  /// The queue matches on one thread. Kept only for callers that still
+  /// pass 1; it does nothing, and any other value is reported through
+  /// util::internal_error.
   void set_match_threads(std::size_t n);
-  std::size_t match_threads() const noexcept { return match_threads_; }
 
-  /// Traversal mode every placement decision runs under — serial matches
-  /// and speculative probes alike, so the pipeline stays byte-identical
-  /// at any thread count. Switching modes discards parked speculations
-  /// (counted as wasted): a probe walked under the old mode must never be
-  /// committed as if the new mode produced it. Cached match failures stay
-  /// — the cache key embeds the mode, so old-mode verdicts simply stop
-  /// matching.
-  void set_traversal_mode(traverser::TraversalMode m);
+  /// Traversal mode every placement decision runs under. Cached match
+  /// failures stay across a switch — the cache key embeds the mode, so
+  /// old-mode verdicts simply stop matching.
+  void set_traversal_mode(traverser::TraversalMode m) noexcept {
+    traversal_mode_ = m;
+  }
   traverser::TraversalMode traversal_mode() const noexcept {
     return traversal_mode_;
   }
@@ -420,25 +402,11 @@ class JobQueue {
   void prune_stale_events() const;
 
   void try_place(Job& job, bool allow_reserve);
-  /// Issue the traverser work for one placement decision. Serial when
-  /// match_threads_ <= 1; otherwise consumes (or refills and consumes) the
-  /// speculation window. Updates match timing on the job and the stats.
+  /// Issue the traverser match for one placement decision; updates match
+  /// timing on the job and the stats.
   util::Expected<traverser::MatchResult> run_match(Job& job,
                                                    bool allow_reserve,
                                                    TimePoint anchor);
-  /// Probe `head` plus up to 2*threads - 1 lookahead pending jobs on the
-  /// worker pool and park the results in spec_. Side-effect-free on queue
-  /// state (beyond stats and lazily-filled match signatures).
-  void speculate_batch(const Job& head, bool head_allow_reserve,
-                       TimePoint head_anchor);
-  /// Drop speculations whose probe epoch no longer matches the traverser
-  /// (a commit landed since they ran); counts them as wasted.
-  void drop_stale_speculations();
-  /// Drop one job's parked speculation, if any, counting it as wasted.
-  /// Called on every transition that takes a job out of contention
-  /// (cancel, hold, reject) — such probes would otherwise survive until
-  /// the next epoch bump and skew the spec accounting.
-  void drop_speculation(JobId id);
   /// Mark a reservation granted / released-before-start in stats, obs
   /// and the live reservation count.
   void note_reservation_made();
@@ -455,9 +423,9 @@ class JobQueue {
   /// schedule passes don't spam the log).
   void note_dependency_wait(Job& job);
   /// Terminal-reject bookkeeping shared by every reject site: closes the
-  /// wait interval, flips the state, counts stats/obs, drops any parked
-  /// speculation and records the "reject" event. Callers still manage
-  /// pending_ membership and span release.
+  /// wait interval, flips the state, counts stats/obs and records the
+  /// "reject" event. Callers still manage pending_ membership and span
+  /// release.
   void reject_job(Job& job, const char* why);
   /// Append one event to the job eventlog at the current simulated time
   /// (no-op while the log is disabled).
@@ -527,21 +495,8 @@ class JobQueue {
   bool match_cache_enabled_ = true;
   std::uint64_t cache_epoch_ = 0;
   std::unordered_map<std::string, BlockedVerdict> blocked_;
-  /// Job-lifecycle eventlog; recorded exclusively from the serial
-  /// decision path so exports are identical at any match_threads.
+  /// Job-lifecycle eventlog.
   obs::EventLog log_;
-  /// One parked speculative probe, valid for consumption only while the
-  /// requested (op, anchor) and the traverser's mutation epoch still match
-  /// what the probe saw.
-  struct SpecEntry {
-    traverser::Traverser::Probe probe;
-    bool allow_reserve = false;
-    TimePoint anchor = 0;
-  };
-  std::size_t match_threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;  // null while match_threads_ <= 1
-  std::vector<traverser::MatchScratch> scratches_;  // one per worker
-  std::unordered_map<JobId, SpecEntry> spec_;
 };
 
 }  // namespace fluxion::queue

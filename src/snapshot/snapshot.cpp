@@ -247,10 +247,6 @@ std::string EngineSnapshot::save(const graph::ResourceGraph& g,
     w.uv(qs.match_calls);
     w.uv(qs.match_skipped);
     w.uv(qs.cache_invalidations);
-    w.uv(qs.spec_probes);
-    w.uv(qs.spec_hits);
-    w.uv(qs.spec_misses);
-    w.uv(qs.spec_wasted);
     w.uv(qs.reservations_made);
     w.uv(qs.reservations_dropped);
     const auto& evs = q->log_.events();
@@ -273,7 +269,7 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
   }
   const std::uint64_t version = r.uv();
   if (r.failed()) return corrupt("header");
-  if (version != kSnapshotVersion) {
+  if (version < 1 || version > kSnapshotVersion) {
     return util::Error{Errc::invalid_argument,
                        "snapshot: unsupported format version " +
                            std::to_string(version) + " (reader speaks " +
@@ -639,10 +635,11 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
     qs.match_calls = r.uv();
     qs.match_skipped = r.uv();
     qs.cache_invalidations = r.uv();
-    qs.spec_probes = r.uv();
-    qs.spec_hits = r.uv();
-    qs.spec_misses = r.uv();
-    qs.spec_wasted = r.uv();
+    if (version == 1) {
+      // Version 1 carried four counters of the removed parallel match
+      // pipeline here; read and drop them.
+      for (int i = 0; i < 4; ++i) (void)r.uv();
+    }
     qs.reservations_made = r.uv();
     qs.reservations_dropped = r.uv();
     // Event heap, rebuilt canonically from job state: a reserved job's
@@ -688,6 +685,7 @@ std::string save_engine(const graph::ResourceGraph& g,
     auto& m = obs::monitor();
     m.snap_saves.inc();
     m.snap_bytes.inc(bytes.size());
+    const std::lock_guard lock(m.snap_mu);
     m.snap_save_us.add(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - t0)
                            .count());
@@ -702,6 +700,7 @@ util::Expected<std::unique_ptr<RestoredEngine>> load_engine(
   if (obs::enabled()) {
     auto& m = obs::monitor();
     m.snap_loads.inc();
+    const std::lock_guard lock(m.snap_mu);
     m.snap_load_us.add(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - t0)
                            .count());

@@ -19,11 +19,11 @@
 //     reference stays live across the recursion that may grow the vector.
 //
 // Ownership and threading: a MatchScratch belongs to exactly one caller at
-// a time. The queue's speculative pipeline gives each probe worker its own
-// instance; the traverser keeps one for its serial path. The scratch also
-// carries the probe's TraverserStats delta, which the traverser folds into
-// its lifetime counters only when the probe is consumed — wasted
-// speculative probes leave no trace in TraverserStats.
+// a time. The traverser keeps one for match(); a snapshot::Replica keeps
+// its own for its read-only probes. The scratch also carries the probe's
+// TraverserStats delta, which the traverser folds into its lifetime
+// counters only when the probe is committed — an uncommitted probe leaves
+// no trace in TraverserStats.
 #pragma once
 
 #include <algorithm>

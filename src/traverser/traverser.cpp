@@ -133,7 +133,18 @@ RejectReason Traverser::exclusive_reason(VertexId v, const util::TimeWindow& w,
                                   graph::kSharedUseMax)) {
     return RejectReason::exclusivity;
   }
+  // Every job walks through the root, but neither walks nor restore mark
+  // it: a span per job on one planner costs more than the rare root
+  // claim, which asks whether any job's window overlaps instead.
+  if (v == root_ && any_job_during(w)) return RejectReason::busy;
   return RejectReason::none;
+}
+
+bool Traverser::any_job_during(const util::TimeWindow& w) const {
+  return std::any_of(jobs_.begin(), jobs_.end(), [&w](const auto& e) {
+    const MatchResult& r = e.second.result;
+    return r.at < w.start + w.duration && w.start < r.at + r.duration;
+  });
 }
 
 bool Traverser::filter_admits(VertexId v, const util::TimeWindow& w,
@@ -1211,7 +1222,7 @@ util::Expected<TimePoint> Traverser::next_candidate_time(
     const std::vector<std::int64_t>& root_counts) const {
   // Fast-forward with the root pruning filter when available: the earliest
   // time the *aggregate* demand fits is a lower bound for a full match.
-  // The _ro variant keeps this callable from concurrent probes.
+  // The _ro variant keeps this callable from the const probe path.
   if (root_counts.empty()) return after;
   return g_.vertex(root_).filter->avail_time_first_ro(after, duration,
                                                       root_counts);
@@ -1231,7 +1242,6 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
   p.op = op;
   p.now = now;
   p.epoch = mutation_epoch_;
-  p.mode = mode;
   sc.mode = mode;
   p.t0 = std::chrono::steady_clock::now();
 
@@ -1344,10 +1354,10 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
     if (!p.ok && op != MatchOp::satisfiability &&
         sc.rejections.earliest_hint < 0) {
       // Earliest-feasible hint for a blocked request: the root pruning
-      // filter's aggregate lower bound (read-only, so callable from
-      // concurrent probes). now itself means "aggregate fits but the
-      // shape does not"; the next release time is then the earliest
-      // instant anything can change.
+      // filter's aggregate lower bound (read-only, like the rest of the
+      // probe). now itself means "aggregate fits but the shape does not";
+      // the next release time is then the earliest instant anything can
+      // change.
       if (auto jumped = next_candidate_time(now, js.duration,
                                             root_filter_counts(js))) {
         TimePoint hint = *jumped;
@@ -1360,9 +1370,6 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
     }
     p.rejections = sc.rejections;
   }
-  p.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            p.t0)
-                  .count();
   return p;
 }
 
@@ -1424,12 +1431,14 @@ util::Expected<MatchResult> Traverser::restore_impl(
     sel.push_claim(
         Claim{ru.vertex, ru.units, ru.exclusive, whole, under, covered});
     // Recreate the shared-use marks of the original walk: every
-    // containment ancestor outside the job's own exclusive subtrees was
-    // traversed shared, and must again repel other jobs' exclusive
-    // claims. (A conservative superset of the original pass-through
-    // chain for multi-subsystem matches.)
+    // containment ancestor below the root and outside the job's own
+    // exclusive subtrees was traversed shared, and must again repel
+    // other jobs' exclusive claims. (A conservative superset of the
+    // original pass-through chain for multi-subsystem matches.) The root
+    // is left unmarked, as walks leave it; see exclusive_reason.
     if (!under) {
-      for (VertexId a = vx.containment_parent; a != graph::kInvalidVertex;
+      for (VertexId a = vx.containment_parent;
+           a != graph::kInvalidVertex && a != root_;
            a = g_.vertex(a).containment_parent) {
         sel.mark_shared(a);
       }
@@ -1499,13 +1508,12 @@ void Traverser::fold_stats(const TraverserStats& d) noexcept {
 }
 
 util::Expected<MatchResult> Traverser::commit(Probe&& p) {
-  // Stats fold exactly once per *consumed* probe: wasted speculative
-  // probes are dropped before ever reaching here, so TraverserStats is
-  // identical to a serial run at any thread count.
+  // Stats fold exactly once per *consumed* probe; a probe that is never
+  // committed leaves TraverserStats alone.
   if (p.ran) fold_stats(p.delta);
   // Same contract for attribution: only the consumed probe's profile is
   // kept, so explain surfaces describe the decision that actually
-  // happened regardless of speculation.
+  // happened.
   if (p.ran && introspect_) last_rejections_ = std::move(p.rejections);
 
   auto finish = [&](util::Expected<MatchResult> r)
@@ -1513,8 +1521,7 @@ util::Expected<MatchResult> Traverser::commit(Probe&& p) {
     const bool timed = obs::enabled() || obs::trace().enabled();
     if (timed) {
       // One op-accounting record per consumed probe, spanning probe start
-      // to commit end (for speculative probes that includes the time the
-      // result waited to be consumed).
+      // to commit end.
       const std::int64_t dur = std::chrono::duration_cast<
           std::chrono::microseconds>(std::chrono::steady_clock::now() - p.t0)
                                    .count();
@@ -1546,9 +1553,7 @@ util::Expected<MatchResult> Traverser::commit(Probe&& p) {
     r.duration = p.window.duration;
     return finish(r);
   }
-  // Defensive re-validation: a probe is committable only against the
-  // exact state it saw. The queue's pipeline checks this before calling;
-  // this is the backstop.
+  // A probe is committable only against the exact state it saw.
   if (p.epoch != mutation_epoch_) {
     return finish(util::Error{Errc::resource_busy,
                               "commit: probe is stale (scheduler state "
@@ -1567,9 +1572,7 @@ util::Expected<MatchResult> Traverser::commit(Probe&& p) {
 util::Expected<MatchResult> Traverser::match(const jobspec::Jobspec& js,
                                              MatchOp op, TimePoint now,
                                              JobId job) {
-  // Serial matching IS the speculative pipeline with a window of one:
-  // probe into the member scratch, then commit. Identical placements at
-  // any thread count follow by construction.
+  // Probe into the member scratch, then commit.
   return commit(probe(js, op, now, job, scratch_, mode_));
 }
 
@@ -1585,8 +1588,7 @@ util::Status Traverser::cancel(JobId job) {
   // Cancel is best-effort once it finds the job: spans may be released
   // even when the call reports corruption (Errc::internal), so those
   // attempts bump the epoch. A not_found attempt touched nothing —
-  // bumping would evict still-valid cached verdicts and parked
-  // speculative probes for no reason.
+  // bumping would evict still-valid cached verdicts for no reason.
   auto r = cancel_impl(job);
   if (r || r.error().code == Errc::internal) ++mutation_epoch_;
   if (timed) {
@@ -1632,7 +1634,7 @@ util::Status Traverser::shrink(JobId job, VertexId vertex) {
   // (not_found / resource_busy); only their best-effort repair paths can
   // leave state moved, and those report Errc::internal. Bump the epoch
   // exactly for success-or-internal so failed attempts stop evicting
-  // still-valid cache entries and parked speculations.
+  // still-valid cache entries.
   auto r = shrink_impl(job, vertex);
   if (r || r.error().code == Errc::internal) ++mutation_epoch_;
   if (audit_enabled_) {

@@ -20,17 +20,15 @@
 // The match *policy* — which of several viable candidates to prefer — is a
 // callback object (paper §3.5); implementations live in policy/.
 //
-// Probe/commit split (speculative parallel matching): a match is two
-// phases. `probe()` is strictly read-only — it walks the frozen graph,
-// builds a Selection into a caller-owned MatchScratch, and captures the
-// mutation epoch it saw; several probes may run concurrently on worker
-// threads as long as NO mutation runs at the same time. `commit()` is
-// serial-only — it validates the probe's epoch, writes planner spans and
-// SDFU filter updates, and folds the probe's stats delta into the
-// traverser. `match()` is exactly probe()+commit() over the traverser's
-// own scratch, so serial and speculative execution produce byte-identical
-// placements by construction. See docs/extending.md, "Concurrency
-// contract".
+// Probe/commit split: a match is two phases. `probe()` is strictly
+// read-only — it walks the graph, builds a Selection into a caller-owned
+// MatchScratch, and captures the mutation epoch it saw. `commit()`
+// validates the probe's epoch, writes planner spans and SDFU filter
+// updates, and folds the probe's stats delta into the traverser.
+// `match()` is exactly probe()+commit() over the traverser's own scratch.
+// Read-only callers (snapshot::Replica, the first-match oracle test) use
+// probe() alone. The engine is single-threaded; see docs/extending.md,
+// "Concurrency contract".
 #pragma once
 
 #include <chrono>
@@ -149,8 +147,8 @@ class Traverser {
   /// committed under `job` until cancel(job). Implemented as
   /// probe() + commit() over the traverser's own scratch. The first
   /// overload uses the traverser's default traversal mode; the second
-  /// selects the mode per call (how the queue lets speculative probes
-  /// inherit its configured mode).
+  /// selects the mode per call (how the queue applies its configured
+  /// mode).
   util::Expected<MatchResult> match(const jobspec::Jobspec& js, MatchOp op,
                                     TimePoint now, JobId job);
   util::Expected<MatchResult> match(const jobspec::Jobspec& js, MatchOp op,
@@ -159,11 +157,8 @@ class Traverser {
 
   /// The read-only half of a match: the outcome of the full time search
   /// and selection walk, captured against the mutation epoch it saw, with
-  /// nothing committed. Consumed exactly once by commit(). Thread-safety:
-  /// any number of probes may run concurrently (each with its own
-  /// MatchScratch), but never concurrently with ANY mutation — commit,
-  /// cancel, grow/shrink/extend, restore, or graph changes. The caller
-  /// (the queue's speculation pipeline) provides that barrier.
+  /// nothing committed. Consumed at most once by commit(); a probe that
+  /// is never committed leaves no trace in the traverser.
   struct Probe {
     JobId job = -1;
     MatchOp op = MatchOp::allocate;
@@ -174,14 +169,12 @@ class Traverser {
     util::TimeWindow window{}; // selected window when ok
     util::Error error{};       // failure when !ok
     TraverserStats delta{};    // this probe's stats contribution
-    double seconds = 0.0;      // wall-clock spent probing
     std::chrono::steady_clock::time_point t0{};
-    TraversalMode mode = TraversalMode::scored;  // mode the walk used
     Selection sel;             // the selection commit() will apply
     /// Match-failure attribution for this probe's walk; populated only
     /// when introspection is enabled (empty + disabled otherwise). Rides
-    /// in the probe so speculative probes carry their own attribution and
-    /// wasted ones leave no trace, exactly like `delta`.
+    /// in the probe so an uncommitted probe leaves no trace, exactly like
+    /// `delta`.
     RejectionProfile rejections;
   };
 
@@ -246,9 +239,9 @@ class Traverser {
   /// (best-effort repair may have left spans moved), and external graph
   /// changes reported via note_external_mutation(). Cleanly failed
   /// attempts (not_found, resource_busy) touch nothing and do NOT move
-  /// the epoch. Consumers (the queue's satisfiability cache, parked
-  /// speculative probes) compare epochs to decide whether cached match
-  /// failures are still valid.
+  /// the epoch. Consumers (the queue's satisfiability cache, replica
+  /// staleness checks) compare epochs to decide whether what they saw is
+  /// still current.
   std::uint64_t mutation_epoch() const noexcept { return mutation_epoch_; }
 
   /// Report a mutation the traverser cannot see (graph grow/shrink,
@@ -362,8 +355,7 @@ class Traverser {
     std::vector<FilterSpan> filter_spans;
   };
 
-  // --- selection (probe path: const, scratch-backed, thread-safe under
-  // concurrent probes with no concurrent mutation) ---------------------------
+  // --- selection (probe path: const, scratch-backed) ------------------------
   bool select_all(const jobspec::Jobspec& js, const util::TimeWindow& w,
                   Selection& sel, MatchScratch& sc) const;
   bool satisfy(const jobspec::Resource& req, VertexId under,
@@ -409,6 +401,8 @@ class Traverser {
   /// Why `v` cannot be claimed whole-and-exclusive (none = it can).
   RejectReason exclusive_reason(VertexId v, const util::TimeWindow& w,
                                 const Selection& sel) const;
+  /// Whether any active job's window overlaps `w`.
+  bool any_job_during(const util::TimeWindow& w) const;
   /// The selection-only part of exclusive_reason: what a covered claim
   /// still checks, since no other job can hold a covered vertex.
   RejectReason selection_reason(VertexId v, const Selection& sel) const;
@@ -490,7 +484,7 @@ class Traverser {
   bool ancestors_admit(VertexId v, bool whole, TimePoint start, Duration d,
                        std::unordered_set<VertexId>& checked) const;
   /// Earliest aggregate-feasible start per the root pruning filter (read
-  /// path: safe under concurrent probes).
+  /// path: leaves the planner untouched).
   util::Expected<TimePoint> next_candidate_time(
       TimePoint after, Duration duration,
       const std::vector<std::int64_t>& root_counts) const;

@@ -7,8 +7,8 @@
 // destroyed — so steady-state add/rem cycles allocate nothing.
 //
 // Not thread-safe: each Pool belongs to a single owner (a Planner), and
-// planners are only mutated from the serial commit path (see the
-// concurrency contract in docs/extending.md).
+// an engine's planners are driven by one thread (see the concurrency
+// contract in docs/extending.md).
 #pragma once
 
 #include <cstddef>

@@ -2,12 +2,10 @@
 //
 // Two guarantees are on trial:
 //
-//  1. Determinism: first-match placements are byte-identical across
-//     probe-pool sizes (threads 1, 2, 8) and with the satisfiability
-//     cache on or off. The mode changes which slot a walk settles on,
-//     so it is carried inside every probe (Probe::mode) and folded into
-//     the cache signature — a probe taken under one mode must never be
-//     committed, or a cached verdict replayed, under another.
+//  1. Determinism: first-match placements are byte-identical with the
+//     satisfiability cache on or off. The mode changes which slot a walk
+//     settles on, so it is folded into the cache signature — a verdict
+//     cached under one mode must never be replayed under another.
 //
 //  2. Feasibility: first-match and scored traversal run literally the
 //     same per-candidate claim checks (one shared lambda in the satisfy
@@ -58,7 +56,7 @@ struct World {
   std::unique_ptr<traverser::Traverser> trav;
   std::unique_ptr<queue::JobQueue> q;
 
-  World(queue::QueuePolicy qp, std::size_t threads, bool cache) {
+  World(queue::QueuePolicy qp, bool cache) {
     auto recipe = grug::parse(kSystem);
     EXPECT_TRUE(recipe);
     auto r = grug::build(g, *recipe);
@@ -69,7 +67,6 @@ struct World {
     q = std::make_unique<queue::JobQueue>(*trav, qp);
     q->set_traversal_mode(traverser::TraversalMode::first_match);
     q->set_match_cache(cache);
-    q->set_match_threads(threads);
   }
 };
 
@@ -110,10 +107,10 @@ void PrintTo(const Params& p, std::ostream* os) {
 
 class FirstMatchDifferential : public ::testing::TestWithParam<Params> {};
 
-// Random online workload replayed in first-match mode across every
-// (threads, cache) combination; all six runs must agree on every
-// observable down to the exact resource sets.
-TEST_P(FirstMatchDifferential, PlacementsIdenticalAcrossThreadsAndCache) {
+// Random online workload replayed in first-match mode with the cache on
+// and off; both runs must agree on every observable down to the exact
+// resource sets.
+TEST_P(FirstMatchDifferential, PlacementsIdenticalWithCacheOnAndOff) {
   sim::TraceConfig cfg;
   cfg.job_count = 60;
   cfg.max_nodes = 8;  // system has 8 nodes
@@ -128,34 +125,25 @@ TEST_P(FirstMatchDifferential, PlacementsIdenticalAcrossThreadsAndCache) {
   trace.push_back({16, 600, trace.back().arrival / 2});
   trace.push_back({16, 600, trace.back().arrival});
 
-  World base(GetParam().policy, /*threads=*/1, /*cache=*/true);
+  World base(GetParam().policy, /*cache=*/true);
   const auto r_base = sim::replay_trace(*base.q, trace, 4);
   ASSERT_TRUE(r_base) << r_base.error().message;
   const auto want = snapshot(*base.q, r_base->ids);
   EXPECT_GT(base.trav->stats().first_match_stops, 0u)
       << "a backlog this size must trigger early unwinds";
 
-  for (const bool cache : {true, false}) {
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      if (cache && threads == 1) continue;  // that is the baseline
-      World w(GetParam().policy, threads, cache);
-      const auto r = sim::replay_trace(*w.q, trace, 4);
-      ASSERT_TRUE(r) << r.error().message;
-      ASSERT_EQ(r_base->ids, r->ids);
-      EXPECT_EQ(r_base->end_time, r->end_time)
-          << "threads=" << threads << " cache=" << cache;
-      const auto got = snapshot(*w.q, r->ids);
-      ASSERT_EQ(want.size(), got.size());
-      for (const auto& [id, expected] : want) {
-        const auto it = got.find(id);
-        ASSERT_NE(it, got.end()) << "job " << id << " missing at threads="
-                                 << threads << " cache=" << cache;
-        EXPECT_EQ(it->second, expected)
-            << "job " << id << " diverged at threads=" << threads
-            << " cache=" << cache;
-      }
-    }
+  World w(GetParam().policy, /*cache=*/false);
+  const auto r = sim::replay_trace(*w.q, trace, 4);
+  ASSERT_TRUE(r) << r.error().message;
+  ASSERT_EQ(r_base->ids, r->ids);
+  EXPECT_EQ(r_base->end_time, r->end_time);
+  const auto got = snapshot(*w.q, r->ids);
+  ASSERT_EQ(want.size(), got.size());
+  for (const auto& [id, expected] : want) {
+    const auto it = got.find(id);
+    ASSERT_NE(it, got.end()) << "job " << id << " missing with cache off";
+    EXPECT_EQ(it->second, expected)
+        << "job " << id << " diverged with cache off";
   }
 }
 

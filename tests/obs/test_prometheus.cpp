@@ -1,7 +1,7 @@
 // Prometheus text-exposition export (format 0.0.4): counters end in
 // _total, every series is preceded by a # TYPE line, histograms emit
 // cumulative le-labelled buckets closed by +Inf plus _sum/_count, and
-// labelled families (per-op, per-probe-thread) share one TYPE header.
+// labelled families (per-op, per-member) share one TYPE header.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -82,7 +82,6 @@ TEST_F(PrometheusFixture, HistogramBucketsAreCumulativeAndClosed) {
 
 TEST_F(PrometheusFixture, LabelledFamiliesShareOneTypeHeader) {
   monitor().op(Op::allocate).calls.inc(5);
-  monitor().ensure_probe_threads(2);
   const std::string text = monitor().prometheus();
   std::size_t type_headers = 0;
   bool saw_allocate = false, saw_cancel = false;
@@ -96,11 +95,6 @@ TEST_F(PrometheusFixture, LabelledFamiliesShareOneTypeHeader) {
   EXPECT_EQ(type_headers, 1u);
   EXPECT_TRUE(saw_allocate);
   EXPECT_TRUE(saw_cancel);
-  // Per-thread probe latency series carry a thread label.
-  EXPECT_NE(text.find("fluxion_probe_latency_us_bucket{thread=\"0\","),
-            std::string::npos);
-  EXPECT_NE(text.find("fluxion_probe_latency_us_bucket{thread=\"1\","),
-            std::string::npos);
 }
 
 TEST_F(PrometheusFixture, EveryLineIsTypeCommentOrSample) {

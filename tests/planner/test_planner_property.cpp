@@ -206,7 +206,7 @@ TEST(PlannerProperty, ResizeInterleavedWithChurn) {
 }
 
 TEST(PlannerProperty, ReadOnlyEarliestFitAgreesWithMutatingVersion) {
-  // avail_time_first_ro backs the concurrent probe path: it must return
+  // avail_time_first_ro backs the const probe path: it must return
   // exactly what the mutating (ET set-aside) version returns — value and
   // success/failure alike — under random span churn, while touching no
   // planner state (asserted by re-running the mutating query afterwards

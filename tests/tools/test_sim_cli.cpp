@@ -230,13 +230,10 @@ TEST_F(SimCliTest, EventlogFlagWritesJsonlLifecycles) {
     pos = doc.find('\n', pos) + 1;
   }
 
-  // Determinism: the export is byte-identical across thread counts and
-  // cache settings (the tool-level face of the differential tests).
+  // Determinism: the export is byte-identical with the cache on and off
+  // (the tool-level face of the differential tests).
   const std::string log2 = temp_dir() + "sim_events2.jsonl";
-  ASSERT_EQ(run("--eventlog " + log2 + " --match-threads 8 --no-match-cache",
-                &out),
-            0)
-      << out;
+  ASSERT_EQ(run("--eventlog " + log2 + " --no-match-cache", &out), 0) << out;
   EXPECT_EQ(slurp(log2), doc);
 }
 
@@ -317,10 +314,10 @@ TEST_F(SimCliTest, BenchCompareZeroBaselineIsNa) {
   const std::string b = temp_dir() + "bench_z_b.json";
   write_file(a,
              "{\"schema_version\":1,\"bench\":\"queue_events\","
-             "\"spec_wasted\":0,\"only_in_a\":3}\n");
+             "\"match_skipped\":0,\"only_in_a\":3}\n");
   write_file(b,
              "{\"schema_version\":1,\"bench\":\"queue_events\","
-             "\"spec_wasted\":12,\"only_in_b\":5}\n");
+             "\"match_skipped\":12,\"only_in_b\":5}\n");
   const std::string out_path = temp_dir() + "bench_z_cmp.txt";
   const std::string cmd = std::string(FLUXION_ANALYZE_BIN) +
                           " --bench-compare " + a + " " + b + " > " +

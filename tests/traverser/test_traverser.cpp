@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "grug/grug.hpp"
 #include "jobspec/jobspec.hpp"
 #include "policy/policies.hpp"
+#include "util/check.hpp"
 
 namespace fluxion::traverser {
 namespace {
@@ -327,6 +331,41 @@ TEST_F(TinyCluster, ReservationsAccumulate) {
   }
   EXPECT_EQ(trav->job_count(), 5u);
   EXPECT_TRUE(trav->verify_filters());
+}
+
+// An exclusive claim on the traverser root must see the jobs below it: the
+// walk refuses it (resource_busy) and reserves it for when the jobs end,
+// instead of passing it and failing at commit.
+TEST(RootClaim, ExclusiveRootClaimWaitsForJobsBelow) {
+  std::ifstream in(std::string(FLUXION_RECIPE_DIR) + "/tiny.grug");
+  ASSERT_TRUE(in);
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto recipe = grug::parse(text.str());
+  ASSERT_TRUE(recipe);
+  graph::ResourceGraph g(0, 100000);
+  auto root = grug::build(g, *recipe);
+  ASSERT_TRUE(root);
+  policy::LowIdPolicy pol;
+  Traverser trav(g, *root, pol);
+  trav.set_audit(true);
+  const std::uint64_t internal0 = util::internal_error_count();
+
+  auto cores = make({slot(1, {res("core", 2)})}, 100);
+  auto cluster = make({slot(1, {res("cluster", 1)})}, 50);
+  ASSERT_TRUE(cores);
+  ASSERT_TRUE(cluster);
+  ASSERT_TRUE(trav.match(*cores, MatchOp::allocate, 0, 1));
+
+  auto now = trav.match(*cluster, MatchOp::allocate, 0, 2);
+  ASSERT_FALSE(now);
+  EXPECT_EQ(now.error().code, Errc::resource_busy) << now.error().message;
+
+  auto later = trav.match(*cluster, MatchOp::allocate_orelse_reserve, 0, 3);
+  ASSERT_TRUE(later) << later.error().message;
+  EXPECT_TRUE(later->reserved);
+  EXPECT_EQ(later->at, 100);
+  EXPECT_EQ(util::internal_error_count(), internal0);
 }
 
 }  // namespace

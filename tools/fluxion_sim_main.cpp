@@ -19,14 +19,12 @@
 //               [--metrics FILE]        # counter/histogram catalogue (JSON)
 //               [--no-match-cache]      # disable the queue's
 //                                       # satisfiability cache (A/B runs)
-//               [--match-threads N]     # speculative probe workers;
-//                                       # placements identical at any N
 //               [--trace-out FILE]      # job lifecycle + match phases as
 //                                       # Chrome trace-event JSON (Perfetto)
 //               [--eventlog FILE]       # per-job lifecycle eventlog (JSONL,
 //                                       # one object per event; sim-time
-//                                       # stamps, byte-identical at any
-//                                       # --match-threads / cache setting)
+//                                       # stamps, byte-identical with the
+//                                       # cache on or off)
 //               [--metrics-prom FILE]   # counters in Prometheus text
 //                                       # exposition format
 //               [--hier K]              # federated mode: route jobs across
@@ -108,7 +106,7 @@ int usage(const char* argv0) {
       "          [--perf-classes SEED]\n"
       "          [--arrivals MEAN] [--csv FILE] [--util FILE]\n"
       "          [--metrics FILE] [--trace-out FILE] [--no-match-cache]\n"
-      "          [--match-threads N] [--eventlog FILE] [--metrics-prom FILE]\n"
+      "          [--eventlog FILE] [--metrics-prom FILE]\n"
       "          [--hier K] [--levels N] [--route POLICY]\n"
       "          [--steal-threshold X] [--steal-batch N]\n"
       "          [--nodes-per-child N]\n"
@@ -137,7 +135,6 @@ int main(int argc, char** argv) {
   double arrivals_mean = 0;
   bool match_cache = true;
   bool first_match = false;
-  std::int64_t match_threads = 1;
   std::int64_t reservation_depth = 0;
   std::int64_t hier = 0;  // 0 = flat engine; >= 1 = federated mode
   std::int64_t levels = 1;
@@ -187,8 +184,6 @@ int main(int argc, char** argv) {
       first_match = true;
     } else if (arg == "--reservation-depth") {
       if (const char* v = next()) reservation_depth = std::atoll(v);
-    } else if (arg == "--match-threads") {
-      if (const char* v = next()) match_threads = std::atoll(v);
     } else if (arg == "--hier") {
       if (const char* v = next()) hier = std::atoll(v);
     } else if (arg == "--levels") {
@@ -319,8 +314,6 @@ int main(int argc, char** argv) {
     fcfg.steal_batch = static_cast<std::size_t>(steal_batch);
     fcfg.eventlog = !eventlog_path.empty();
     fcfg.match_cache = match_cache;
-    fcfg.match_threads =
-        match_threads > 1 ? static_cast<std::size_t>(match_threads) : 1;
     fcfg.traversal_mode = first_match ? traverser::TraversalMode::first_match
                                       : traverser::TraversalMode::scored;
     fcfg.reservation_depth = static_cast<std::size_t>(reservation_depth);
@@ -516,9 +509,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Only settings the snapshot does not carry are re-applied here.
-    if (match_threads > 1) {
-      eng->queue->set_match_threads(static_cast<std::size_t>(match_threads));
-    }
     if (!eventlog_path.empty()) eng->queue->set_eventlog(true);
   } else {
     core::Options opt;
@@ -552,9 +542,6 @@ int main(int argc, char** argv) {
       cold_q->set_traversal_mode(traverser::TraversalMode::first_match);
     }
     cold_q->set_reservation_depth(static_cast<std::size_t>(reservation_depth));
-    if (match_threads > 1) {
-      cold_q->set_match_threads(static_cast<std::size_t>(match_threads));
-    }
   }
   graph::ResourceGraph& g = eng ? *eng->graph : rq->graph();
   traverser::Traverser& t = eng ? *eng->traverser : rq->traverser();
@@ -761,16 +748,6 @@ int main(int argc, char** argv) {
                  "%llu early stops\n",
                  static_cast<unsigned long long>(ts.visits),
                  static_cast<unsigned long long>(ts.first_match_stops));
-  }
-  if (q.match_threads() > 1) {
-    std::fprintf(stderr,
-                 "fluxion-sim: %zu probe threads | %llu probes, %llu hits, "
-                 "%llu misses, %llu wasted\n",
-                 q.match_threads(),
-                 static_cast<unsigned long long>(s.spec_probes),
-                 static_cast<unsigned long long>(s.spec_hits),
-                 static_cast<unsigned long long>(s.spec_misses),
-                 static_cast<unsigned long long>(s.spec_wasted));
   }
   if (!scenario_path.empty()) {
     std::fprintf(stderr,
