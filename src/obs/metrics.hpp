@@ -92,7 +92,9 @@ struct OpMetrics {
 /// The metric catalogue (see docs/observability.md). Grouped by layer.
 struct PerfMonitor {
   // --- traverser ----------------------------------------------------------
-  Counter trav_visits;            // vertices entered by collect_candidates
+  // All but trav_rollbacks mirror TraverserStats: every probe and grow
+  // adds its walk's counts here once, at its end, committed or not.
+  Counter trav_visits;            // vertices entered by the candidate walk
   Counter trav_pruned;            // subtrees skipped by pruning filters
   Counter trav_postorder_rejects; // candidates dropped after descending
   Counter trav_rollbacks;         // selection rollbacks (any cause)

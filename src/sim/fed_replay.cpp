@@ -1,11 +1,10 @@
 #include "sim/fed_replay.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <optional>
 
 #include "dynamic/dynamic.hpp"
+#include "sim/drive.hpp"
 #include "util/strings.hpp"
 
 namespace fluxion::sim {
@@ -19,48 +18,12 @@ util::Expected<FedReplayResult> replay_trace(
     return util::Error{Errc::invalid_argument,
                        "replay_trace: federation already used"};
   }
-  std::vector<std::size_t> order(trace.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return trace[a].arrival < trace[b].arrival;
-                   });
-
-  FedReplayResult result;
-  result.ids.resize(trace.size(), -1);
-  for (std::size_t k = 0; k < order.size();) {
-    const util::TimePoint at = trace[order[k]].arrival;
-    while (true) {
-      const util::TimePoint ev = fed.next_event();
-      if (ev >= at) break;
-      if (auto st = fed.advance_to(ev); !st) return st.error();
-      fed.schedule();
-    }
-    if (auto st = fed.advance_to(std::max(fed.now(), at)); !st) {
-      return st.error();
-    }
-    while (k < order.size() && trace[order[k]].arrival <= fed.now()) {
-      const std::size_t idx = order[k];
-      auto js = trace_jobspec(trace[idx], cores_per_node);
-      if (!js) return js.error();
-      result.ids[idx] = fed.submit(*js);
-      ++k;
-    }
-    fed.schedule();
-  }
-  auto end = fed.run_to_completion();
-  if (!end) return end.error();
-  result.end_time = *end;
-  return result;
+  return detail::drive<FedReplayResult>(fed, detail::act_order(trace, {}), 0,
+                                        trace, cores_per_node,
+                                        detail::no_events, 0, {});
 }
 
 namespace {
-
-struct Act {
-  util::TimePoint at = 0;
-  bool is_job = false;
-  std::size_t idx = 0;
-};
 
 struct Owner {
   std::size_t member = 0;
@@ -163,53 +126,12 @@ util::Expected<FedScenarioResult> replay_scenario(
         m.queue.get()));
   }
 
-  std::vector<Act> acts;
-  acts.reserve(scenario.jobs.size() + scenario.events.size());
-  for (std::size_t i = 0; i < scenario.events.size(); ++i) {
-    acts.push_back({scenario.events[i].at, false, i});
-  }
-  for (std::size_t i = 0; i < scenario.jobs.size(); ++i) {
-    acts.push_back({scenario.jobs[i].arrival, true, i});
-  }
-  std::stable_sort(acts.begin(), acts.end(), [](const Act& a, const Act& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return !a.is_job && b.is_job;
-  });
-
-  FedScenarioResult result;
-  result.ids.resize(scenario.jobs.size(), -1);
-  for (std::size_t k = 0; k < acts.size();) {
-    const util::TimePoint at = acts[k].at;
-    while (true) {
-      const util::TimePoint ev = fed.next_event();
-      if (ev >= at) break;
-      if (auto st = fed.advance_to(ev); !st) return st.error();
-      fed.schedule();
-    }
-    if (auto st = fed.advance_to(std::max(fed.now(), at)); !st) {
-      return st.error();
-    }
-    while (k < acts.size() && acts[k].at <= fed.now()) {
-      const Act& act = acts[k];
-      if (act.is_job) {
-        auto js = trace_jobspec(scenario.jobs[act.idx], cores_per_node);
-        if (!js) return js.error();
-        result.ids[act.idx] = fed.submit(*js);
-      } else {
-        if (auto st = apply_event(fed, dyns, scenario.events[act.idx],
-                                  resolver, result);
-            !st) {
-          return st.error();
-        }
-      }
-      ++k;
-    }
-    fed.schedule();
-  }
-  auto end = fed.run_to_completion();
-  if (!end) return end.error();
-  result.end_time = *end;
-  return result;
+  auto on_event = [&](std::size_t idx, FedScenarioResult& result) {
+    return apply_event(fed, dyns, scenario.events[idx], resolver, result);
+  };
+  return detail::drive<FedScenarioResult>(
+      fed, detail::act_order(scenario.jobs, scenario.events), 0,
+      scenario.jobs, cores_per_node, on_event, 0, {});
 }
 
 }  // namespace fluxion::sim

@@ -1,8 +1,8 @@
 // Federation replay: drive a hier::Federation against the same traces
-// and dynamic scenarios the flat JobQueue replays, with the identical
-// advance/submit/schedule interleaving — so a single-member federation
-// reproduces the flat engine's decisions byte-for-byte, and multi-member
-// runs stay deterministic for fixed inputs.
+// and dynamic scenarios the flat JobQueue replays, through the same replay
+// loop (sim/drive.hpp) — so a single-member federation reproduces the
+// flat engine's decisions byte-for-byte, and multi-member runs stay
+// deterministic for fixed inputs.
 #pragma once
 
 #include <vector>

@@ -1,72 +1,19 @@
 #include "sim/replay.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include "sim/drive.hpp"
 
 namespace fluxion::sim {
 
 namespace {
 
-std::vector<std::size_t> arrival_order(const std::vector<TraceJob>& trace) {
-  // Arrival order; ties keep trace order (stable).
-  std::vector<std::size_t> order(trace.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return trace[a].arrival < trace[b].arrival;
-                   });
-  return order;
-}
-
-/// Shared replay driver. Starts at sorted-arrival index `k0` (0 for a
-/// fresh queue; the restored submit count on resume). When
-/// `on_checkpoint` is set it fires once, at the batch boundary right
-/// before the first arrival later than `checkpoint_at` — a state the
-/// plain replay passes through anyway, so checkpointed and straight runs
-/// stay act-for-act identical.
-util::Expected<ReplayResult> drive(queue::JobQueue& q,
-                                   const std::vector<TraceJob>& trace,
-                                   std::int64_t cores_per_node,
-                                   std::size_t k0,
-                                   util::TimePoint checkpoint_at,
-                                   const CheckpointFn* on_checkpoint) {
-  const std::vector<std::size_t> order = arrival_order(trace);
-  ReplayResult result;
-  result.ids.resize(trace.size(), -1);
-  // On resume the first k0 arrivals already live in the queue; ids were
-  // assigned in submit order, which is exactly order[0..k0).
-  for (std::size_t j = 0; j < k0; ++j) {
-    result.ids[order[j]] = q.all_jobs()[j];
-  }
-  bool pending_checkpoint = on_checkpoint != nullptr;
-  for (std::size_t k = k0; k < order.size();) {
-    const util::TimePoint at = trace[order[k]].arrival;
-    if (pending_checkpoint && at > checkpoint_at) {
-      (*on_checkpoint)(q, k);
-      pending_checkpoint = false;
-    }
-    // Fire events (and free resources) on the way to this arrival.
-    while (true) {
-      const util::TimePoint ev = q.next_event();
-      if (ev >= at) break;
-      if (auto st = q.advance_to(ev); !st) return st.error();
-      q.schedule();  // completions may unblock pending jobs
-    }
-    if (auto st = q.advance_to(std::max(q.now(), at)); !st) return st.error();
-    while (k < order.size() && trace[order[k]].arrival <= q.now()) {
-      const std::size_t idx = order[k];
-      auto js = trace_jobspec(trace[idx], cores_per_node);
-      if (!js) return js.error();
-      result.ids[idx] = q.submit(*js);
-      ++k;
-    }
-    q.schedule();
-  }
-  if (pending_checkpoint) (*on_checkpoint)(q, order.size());
-  auto end = q.run_to_completion();
-  if (!end) return end.error();
-  result.end_time = *end;
-  return result;
+util::Expected<ReplayResult> run_trace(
+    queue::JobQueue& q, const std::vector<TraceJob>& trace,
+    std::int64_t cores_per_node, std::size_t k0,
+    util::TimePoint checkpoint_at,
+    const std::function<void(std::size_t)>& on_checkpoint) {
+  return detail::drive<ReplayResult>(q, detail::act_order(trace, {}), k0,
+                                     trace, cores_per_node, detail::no_events,
+                                     checkpoint_at, on_checkpoint);
 }
 
 }  // namespace
@@ -78,7 +25,7 @@ util::Expected<ReplayResult> replay_trace(queue::JobQueue& q,
     return util::Error{util::Errc::invalid_argument,
                        "replay_trace: queue already used"};
   }
-  return drive(q, trace, cores_per_node, 0, 0, nullptr);
+  return run_trace(q, trace, cores_per_node, 0, 0, {});
 }
 
 util::Expected<ReplayResult> replay_trace_checkpoint(
@@ -93,7 +40,8 @@ util::Expected<ReplayResult> replay_trace_checkpoint(
     return util::Error{util::Errc::invalid_argument,
                        "replay_trace: null checkpoint callback"};
   }
-  return drive(q, trace, cores_per_node, 0, checkpoint_at, &on_checkpoint);
+  return run_trace(q, trace, cores_per_node, 0, checkpoint_at,
+                   [&](std::size_t submitted) { on_checkpoint(q, submitted); });
 }
 
 util::Expected<ReplayResult> resume_trace(queue::JobQueue& q,
@@ -111,7 +59,7 @@ util::Expected<ReplayResult> resume_trace(queue::JobQueue& q,
                        "resume_trace: queue job list disagrees with its "
                        "submitted count"};
   }
-  return drive(q, trace, cores_per_node, k0, 0, nullptr);
+  return run_trace(q, trace, cores_per_node, k0, 0, {});
 }
 
 }  // namespace fluxion::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/drive.hpp"
 #include "util/strings.hpp"
 
 namespace fluxion::sim {
@@ -155,12 +156,6 @@ std::string format_scenario(const Scenario& scenario) {
 
 namespace {
 
-struct Act {
-  util::TimePoint at = 0;
-  bool is_job = false;  // events before jobs at equal timestamps
-  std::size_t idx = 0;
-};
-
 util::Status apply_event(queue::JobQueue& q, dynamic::DynamicResources& dyn,
                          const DynEvent& event, const RecipeResolver& resolver,
                          ScenarioResult& result) {
@@ -209,14 +204,33 @@ util::Status apply_event(queue::JobQueue& q, dynamic::DynamicResources& dyn,
   return util::Status::ok();
 }
 
-std::vector<Act> act_order(const Scenario& scenario) {
+util::Expected<ScenarioResult> run_scenario(
+    queue::JobQueue& q, dynamic::DynamicResources& dyn,
+    const Scenario& scenario, std::int64_t cores_per_node,
+    const RecipeResolver& resolver, const std::vector<detail::Act>& acts,
+    std::size_t k0, util::TimePoint checkpoint_at,
+    const std::function<void(std::size_t)>& on_checkpoint) {
+  auto on_event = [&](std::size_t idx, ScenarioResult& result) {
+    return apply_event(q, dyn, scenario.events[idx], resolver, result);
+  };
+  return detail::drive<ScenarioResult>(q, acts, k0, scenario.jobs,
+                                       cores_per_node, on_event,
+                                       checkpoint_at, on_checkpoint);
+}
+
+}  // namespace
+
+namespace detail {
+
+std::vector<Act> act_order(const std::vector<TraceJob>& jobs,
+                           const std::vector<DynEvent>& events) {
   std::vector<Act> acts;
-  acts.reserve(scenario.jobs.size() + scenario.events.size());
-  for (std::size_t i = 0; i < scenario.events.size(); ++i) {
-    acts.push_back({scenario.events[i].at, false, i});
+  acts.reserve(jobs.size() + events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    acts.push_back({events[i].at, false, i});
   }
-  for (std::size_t i = 0; i < scenario.jobs.size(); ++i) {
-    acts.push_back({scenario.jobs[i].arrival, true, i});
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    acts.push_back({jobs[i].arrival, true, i});
   }
   std::stable_sort(acts.begin(), acts.end(), [](const Act& a, const Act& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -225,73 +239,7 @@ std::vector<Act> act_order(const Scenario& scenario) {
   return acts;
 }
 
-/// Shared scenario driver. Starts at act index `k0` (0 for a fresh
-/// queue). When `on_checkpoint` is set it fires once, at the batch
-/// boundary right before the first act later than `checkpoint_at` — a
-/// state the plain replay also passes through, so checkpointed and
-/// straight runs stay act-for-act identical.
-util::Expected<ScenarioResult> drive(queue::JobQueue& q,
-                                     dynamic::DynamicResources& dyn,
-                                     const Scenario& scenario,
-                                     std::int64_t cores_per_node,
-                                     const RecipeResolver& resolver,
-                                     const std::vector<Act>& acts,
-                                     std::size_t k0,
-                                     util::TimePoint checkpoint_at,
-                                     const ScenarioCheckpointFn* on_checkpoint) {
-  ScenarioResult result;
-  result.ids.resize(scenario.jobs.size(), -1);
-  // On resume the prefix's job acts already live in the queue; ids were
-  // assigned in act (= submit) order.
-  std::size_t restored = 0;
-  for (std::size_t k = 0; k < k0; ++k) {
-    if (acts[k].is_job) result.ids[acts[k].idx] = q.all_jobs()[restored++];
-  }
-  if (restored != static_cast<std::size_t>(q.stats().submitted)) {
-    return util::Error{Errc::invalid_argument,
-                       "resume_scenario: queue job count disagrees with the "
-                       "scenario prefix"};
-  }
-  bool pending_checkpoint = on_checkpoint != nullptr;
-  for (std::size_t k = k0; k < acts.size();) {
-    const util::TimePoint at = acts[k].at;
-    if (pending_checkpoint && at > checkpoint_at) {
-      (*on_checkpoint)(q);
-      pending_checkpoint = false;
-    }
-    // Fire queue events (completions free resources) on the way there.
-    while (true) {
-      const util::TimePoint ev = q.next_event();
-      if (ev >= at) break;
-      if (auto st = q.advance_to(ev); !st) return st.error();
-      q.schedule();
-    }
-    if (auto st = q.advance_to(std::max(q.now(), at)); !st) return st.error();
-    while (k < acts.size() && acts[k].at <= q.now()) {
-      const Act& act = acts[k];
-      if (act.is_job) {
-        auto js = trace_jobspec(scenario.jobs[act.idx], cores_per_node);
-        if (!js) return js.error();
-        result.ids[act.idx] = q.submit(*js);
-      } else {
-        if (auto st = apply_event(q, dyn, scenario.events[act.idx], resolver,
-                                  result);
-            !st) {
-          return st.error();
-        }
-      }
-      ++k;
-    }
-    q.schedule();
-  }
-  if (pending_checkpoint) (*on_checkpoint)(q);
-  auto end = q.run_to_completion();
-  if (!end) return end.error();
-  result.end_time = *end;
-  return result;
-}
-
-}  // namespace
+}  // namespace detail
 
 util::Expected<ScenarioResult> replay_scenario(
     queue::JobQueue& q, dynamic::DynamicResources& dyn,
@@ -301,8 +249,9 @@ util::Expected<ScenarioResult> replay_scenario(
     return util::Error{Errc::invalid_argument,
                        "replay_scenario: queue already used"};
   }
-  return drive(q, dyn, scenario, cores_per_node, resolver, act_order(scenario),
-               0, 0, nullptr);
+  return run_scenario(q, dyn, scenario, cores_per_node, resolver,
+                      detail::act_order(scenario.jobs, scenario.events), 0, 0,
+                      {});
 }
 
 util::Expected<ScenarioResult> replay_scenario_checkpoint(
@@ -324,8 +273,9 @@ util::Expected<ScenarioResult> replay_scenario_checkpoint(
     return util::Error{Errc::invalid_argument,
                        "replay_scenario: checkpoint time must be >= 0"};
   }
-  return drive(q, dyn, scenario, cores_per_node, resolver, act_order(scenario),
-               0, checkpoint_at, &on_checkpoint);
+  return run_scenario(q, dyn, scenario, cores_per_node, resolver,
+                      detail::act_order(scenario.jobs, scenario.events), 0,
+                      checkpoint_at, [&](std::size_t) { on_checkpoint(q); });
 }
 
 util::Expected<ScenarioResult> resume_scenario(
@@ -334,11 +284,21 @@ util::Expected<ScenarioResult> resume_scenario(
     const RecipeResolver& resolver) {
   // The checkpoint fired at a batch boundary: every act at or before the
   // restored clock was applied, every later act was not.
-  const std::vector<Act> acts = act_order(scenario);
+  const std::vector<detail::Act> acts =
+      detail::act_order(scenario.jobs, scenario.events);
   std::size_t k0 = 0;
-  while (k0 < acts.size() && acts[k0].at <= q.now()) ++k0;
-  return drive(q, dyn, scenario, cores_per_node, resolver, acts, k0, 0,
-               nullptr);
+  std::size_t prefix_jobs = 0;
+  for (; k0 < acts.size() && acts[k0].at <= q.now(); ++k0) {
+    prefix_jobs += acts[k0].is_job ? 1 : 0;
+  }
+  if (prefix_jobs != static_cast<std::size_t>(q.stats().submitted) ||
+      prefix_jobs != q.all_jobs().size()) {
+    return util::Error{Errc::invalid_argument,
+                       "resume_scenario: queue job count disagrees with the "
+                       "scenario prefix"};
+  }
+  return run_scenario(q, dyn, scenario, cores_per_node, resolver, acts, k0, 0,
+                      {});
 }
 
 }  // namespace fluxion::sim

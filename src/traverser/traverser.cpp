@@ -28,6 +28,19 @@ obs::Op to_obs_op(MatchOp op) noexcept {
   return obs::Op::allocate;
 }
 
+/// Add one walk's counts to their obs::monitor() mirrors; the walk itself
+/// counts only into MatchScratch::stats.
+void publish_walk_counters(const TraverserStats& d) {
+  if (!obs::enabled()) return;
+  auto& m = obs::monitor();
+  m.trav_visits.inc(d.visits);
+  m.trav_pruned.inc(d.pruned);
+  m.trav_status_pruned.inc(d.status_pruned);
+  m.trav_postorder_rejects.inc(d.postorder_rejects);
+  m.trav_first_match_stops.inc(d.first_match_stops);
+  m.trav_match_attempts.inc(d.match_attempts);
+}
+
 bool meets_requirements(const graph::Vertex& v,
                         const std::vector<std::string>& reqs) {
   for (const std::string& req : reqs) {
@@ -163,30 +176,26 @@ bool Traverser::filter_admits(VertexId v, const util::TimeWindow& w,
   return true;
 }
 
-void Traverser::collect_candidates(VertexId from, util::InternId type,
-                                   const util::TimeWindow& w,
-                                   const Selection& sel,
-                                   const DenseDemand& per_instance_demand,
-                                   std::vector<VertexId>& out,
-                                   ParentMap& parent_of,
-                                   MatchScratch& sc) const {
+template <class Visit>
+bool Traverser::walk_candidates(VertexId from, util::InternId type,
+                                const util::TimeWindow& w,
+                                const Selection& sel,
+                                const DenseDemand& per_instance_demand,
+                                ParentMap& parent_of, MatchScratch& sc,
+                                const Visit& visit) const {
   ++sc.stats.visits;
   ++sc.stats.last_visits;
-  if (obs::enabled()) obs::monitor().trav_visits.inc();
   const graph::Vertex& vx = g_.vertex(from);
   // Preorder status pruning (dynamic-resource layer): a non-up vertex is
   // never matched and never descended into, so a downed or drained
   // subtree costs one visit, not a walk.
   if (vx.status != graph::ResourceStatus::up) {
     ++sc.stats.status_pruned;
-    if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
     if (sc.rejections.enabled) sc.rejections.add(vx.type, RejectReason::status);
-    return;
+    return false;
   }
-  if (vx.type == type) {
-    out.push_back(from);
-    return;  // do not search for a type nested inside itself
-  }
+  // Do not search for a type nested inside itself.
+  if (vx.type == type) return visit(from);
   for (const graph::Edge& e : g_.out_edges(from)) {
     if (e.relation != g_.contains_rel() ||
         !g_.subsystem_visible(e.subsystem) || !g_.vertex(e.dst).alive) {
@@ -204,18 +213,14 @@ void Traverser::collect_candidates(VertexId from, util::InternId type,
       // least one instance of the pending demand (paper §3.4).
       if (const RejectReason why = shareable_reason(child, w, sel);
           why != RejectReason::none) {
-        if (why == RejectReason::status) {
-          // A non-up pass-through child is a subtree skipped as non-up,
-          // same as the preorder check above would have found.
-          ++sc.stats.status_pruned;
-          if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
-        }
+        // A non-up pass-through child is a subtree skipped as non-up,
+        // same as the preorder check above would have found.
+        if (why == RejectReason::status) ++sc.stats.status_pruned;
         if (sc.rejections.enabled) sc.rejections.add(cx.type, why);
         continue;
       }
       if (!filter_admits(child, w, per_instance_demand)) {
         ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
         if (sc.rejections.enabled) {
           sc.rejections.add(cx.type, RejectReason::filter);
         }
@@ -223,61 +228,8 @@ void Traverser::collect_candidates(VertexId from, util::InternId type,
       }
     }
     parent_of.set(child, from);
-    collect_candidates(child, type, w, sel, per_instance_demand, out,
-                       parent_of, sc);
-  }
-}
-
-bool Traverser::fm_search(VertexId from, util::InternId type,
-                          const util::TimeWindow& w, const Selection& sel,
-                          const DenseDemand& per_instance_demand,
-                          ParentMap& parent_of, MatchScratch& sc,
-                          const std::function<bool(VertexId)>& try_claim)
-    const {
-  ++sc.stats.visits;
-  ++sc.stats.last_visits;
-  if (obs::enabled()) obs::monitor().trav_visits.inc();
-  const graph::Vertex& vx = g_.vertex(from);
-  if (vx.status != graph::ResourceStatus::up) {
-    ++sc.stats.status_pruned;
-    if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
-    if (sc.rejections.enabled) sc.rejections.add(vx.type, RejectReason::status);
-    return false;
-  }
-  if (vx.type == type) {
-    // Claim in discovery order; a covered request unwinds the whole walk.
-    return try_claim(from);
-  }
-  for (const graph::Edge& e : g_.out_edges(from)) {
-    if (e.relation != g_.contains_rel() ||
-        !g_.subsystem_visible(e.subsystem) || !g_.vertex(e.dst).alive) {
-      continue;
-    }
-    const VertexId child = e.dst;
-    if (parent_of.contains(child)) continue;
-    const graph::Vertex& cx = g_.vertex(child);
-    if (cx.type != type) {
-      if (const RejectReason why = shareable_reason(child, w, sel);
-          why != RejectReason::none) {
-        if (why == RejectReason::status) {
-          ++sc.stats.status_pruned;
-          if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
-        }
-        if (sc.rejections.enabled) sc.rejections.add(cx.type, why);
-        continue;
-      }
-      if (!filter_admits(child, w, per_instance_demand)) {
-        ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
-        if (sc.rejections.enabled) {
-          sc.rejections.add(cx.type, RejectReason::filter);
-        }
-        continue;
-      }
-    }
-    parent_of.set(child, from);
-    if (fm_search(child, type, w, sel, per_instance_demand, parent_of, sc,
-                  try_claim)) {
+    if (walk_candidates(child, type, w, sel, per_instance_demand, parent_of,
+                        sc, visit)) {
       return true;
     }
   }
@@ -402,7 +354,6 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
       }
       if (!filter_admits(u, w, f.demand)) {
         ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
         if (sc.rejections.enabled) {
           sc.rejections.add(ux.type, RejectReason::filter);
         }
@@ -418,7 +369,6 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
       }
       if (!filter_admits(u, w, f.demand)) {
         ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
         if (sc.rejections.enabled) {
           sc.rejections.add(ux.type, RejectReason::filter);
         }
@@ -438,7 +388,6 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
     }
     if (!ok) {
       ++sc.stats.postorder_rejects;
-      if (obs::enabled()) obs::monitor().trav_postorder_rejects.inc();
       if (sc.rejections.enabled) {
         sc.rejections.add(ux.type, RejectReason::postorder);
       }
@@ -457,20 +406,22 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
   if (sc.mode == TraversalMode::first_match) {
     // Claim inline during the discovery walk and unwind once covered —
     // no candidate list, no ranking, no policy call.
-    if (type && fm_search(under, *type, w, sel, f.demand, f.parent_of, sc,
-                          [&](VertexId u) {
-                            attempt(u);
-                            return count == needed_max;
-                          })) {
+    if (type && walk_candidates(under, *type, w, sel, f.demand, f.parent_of,
+                                sc, [&](VertexId u) {
+                                  attempt(u);
+                                  return count == needed_max;
+                                })) {
       ++sc.stats.first_match_stops;
-      if (obs::enabled()) obs::monitor().trav_first_match_stops.inc();
     }
     return count >= needed;
   }
 
   if (type) {
-    collect_candidates(under, *type, w, sel, f.demand, f.candidates,
-                       f.parent_of, sc);
+    walk_candidates(under, *type, w, sel, f.demand, f.parent_of, sc,
+                    [&f](VertexId u) {
+                      f.candidates.push_back(u);
+                      return false;
+                    });
   }
   if (static_cast<std::int64_t>(f.candidates.size()) < needed) return false;
   policy_.plan_selection(g_, f.candidates, needed);
@@ -553,13 +504,12 @@ bool Traverser::satisfy_units(const jobspec::Resource& req, VertexId under,
   if (sc.mode == TraversalMode::first_match) {
     if (type) {
       f.demand.add(*type, 1);
-      if (fm_search(under, *type, w, sel, f.demand, f.parent_of, sc,
-                    [&](VertexId u) {
-                      take_units(u);
-                      return remaining == 0;
-                    })) {
+      if (walk_candidates(under, *type, w, sel, f.demand, f.parent_of, sc,
+                          [&](VertexId u) {
+                            take_units(u);
+                            return remaining == 0;
+                          })) {
         ++sc.stats.first_match_stops;
-        if (obs::enabled()) obs::monitor().trav_first_match_stops.inc();
       }
     }
     return needed_max - remaining >= needed;
@@ -567,8 +517,11 @@ bool Traverser::satisfy_units(const jobspec::Resource& req, VertexId under,
 
   if (type) {
     f.demand.add(*type, 1);
-    collect_candidates(under, *type, w, sel, f.demand, f.candidates,
-                       f.parent_of, sc);
+    walk_candidates(under, *type, w, sel, f.demand, f.parent_of, sc,
+                    [&f](VertexId u) {
+                      f.candidates.push_back(u);
+                      return false;
+                    });
   }
   policy_.plan_selection(g_, f.candidates, needed);
 
@@ -585,7 +538,15 @@ bool Traverser::select_all(const jobspec::Jobspec& js,
                            const util::TimeWindow& w, Selection& sel,
                            MatchScratch& sc) const {
   ++sc.stats.match_attempts;
-  if (obs::enabled()) obs::monitor().trav_match_attempts.inc();
+  // Walks start at the root without the pass-through check its children
+  // get, so a job holding the root keeps every other walk out here. A
+  // root nobody claims has an empty schedule and costs no planner query.
+  const graph::Vertex& rx = g_.vertex(root_);
+  if (rx.schedule->span_count() != 0 &&
+      !rx.schedule->avail_during(w.start, w.duration, rx.size)) {
+    if (sc.rejections.enabled) sc.rejections.add(rx.type, RejectReason::busy);
+    return false;
+  }
   for (const jobspec::Resource& r : js.resources) {
     if (!satisfy(r, root_, r.count, /*under_slot=*/false,
                  /*under_excl=*/false, w, sel, 0, sc)) {
@@ -628,11 +589,12 @@ bool Traverser::ancestors_admit(VertexId v, bool whole, TimePoint start,
                                 Duration d,
                                 std::unordered_set<VertexId>& checked) const {
   if (whole &&
-      !g_.vertex(v).x_checker->avail_during(start, d, graph::kSharedUseMax)) {
+      (!g_.vertex(v).x_checker->avail_during(start, d, graph::kSharedUseMax) ||
+       (v == root_ && any_job_during({start, d})))) {
     return false;
   }
   for (VertexId a = g_.vertex(v).containment_parent;
-       a != graph::kInvalidVertex && a != root_ && !checked.contains(a);
+       a != graph::kInvalidVertex && !checked.contains(a);
        a = g_.vertex(a).containment_parent) {
     const graph::Vertex& ax = g_.vertex(a);
     if (!ax.schedule->avail_during(start, d, ax.size)) return false;
@@ -783,19 +745,15 @@ util::Expected<MatchResult> Traverser::grow_impl(JobId job,
   const util::TimeWindow w{start, end - start};
   scratch_.stats = TraverserStats{};
   scratch_.mode = mode_;
-  ++scratch_.stats.match_attempts;
-  if (obs::enabled()) obs::monitor().trav_match_attempts.inc();
   Selection sel;
-  for (const jobspec::Resource& r : extra.resources) {
-    if (!satisfy(r, root_, r.count, /*under_slot=*/false,
-                 /*under_excl=*/false, w, sel, 0, scratch_)) {
-      fold_stats(scratch_.stats);
-      return util::Error{Errc::resource_busy,
-                         "grow: extra resources unavailable for the "
-                         "remaining window"};
-    }
-  }
+  const bool found = select_all(extra, w, sel, scratch_);
+  publish_walk_counters(scratch_.stats);
   fold_stats(scratch_.stats);
+  if (!found) {
+    return util::Error{Errc::resource_busy,
+                       "grow: extra resources unavailable for the remaining "
+                       "window"};
+  }
   if (auto st = apply_selection(rec, w, sel); !st) return st.error();
   refresh_resources(rec);
   return rec.result;
@@ -1349,7 +1307,10 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
     }
   }();
 
-  if (p.ran) p.delta = sc.stats;
+  if (p.ran) {
+    p.delta = sc.stats;
+    publish_walk_counters(sc.stats);
+  }
   if (p.ran && sc.rejections.enabled) {
     if (!p.ok && op != MatchOp::satisfiability &&
         sc.rejections.earliest_hint < 0) {

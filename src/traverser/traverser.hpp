@@ -4,7 +4,10 @@
 // Responsibilities:
 //   * walk the containment subsystem depth-first from the root, matching
 //     request vertices to resource vertices (levels not named in the
-//     request are passed through);
+//     request are passed through). One walk serves both traversal modes
+//     through a visitor: scored mode collects the candidates and lets the
+//     policy rank them; first-match mode claims each one as it is found
+//     and stops once the request is covered;
 //   * honour exclusivity: everything under a slot — and anything flagged
 //     exclusive — is claimed whole; shared walks are recorded in each
 //     vertex's x_checker so later exclusive claims can detect overlap;
@@ -33,7 +36,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -356,6 +358,9 @@ class Traverser {
   };
 
   // --- selection (probe path: const, scratch-backed) ------------------------
+  /// Match every request of `js` over `w` into `sel`: the single entry of
+  /// the selection walk (probe and grow). Refuses at once while another
+  /// job holds the root during `w`.
   bool select_all(const jobspec::Jobspec& js, const util::TimeWindow& w,
                   Selection& sel, MatchScratch& sc) const;
   bool satisfy(const jobspec::Resource& req, VertexId under,
@@ -373,29 +378,20 @@ class Traverser {
                      const util::TimeWindow& w, Selection& sel,
                      std::size_t depth, MatchScratch& sc) const;
 
-  /// Vertices of `type` reachable from `from` (inclusive) by descending
-  /// shareable, unpruned containment edges; records the pass-through
-  /// chain so shared marks can be applied on selection.
-  void collect_candidates(VertexId from, util::InternId type,
-                          const util::TimeWindow& w, const Selection& sel,
-                          const DenseDemand& per_instance_demand,
-                          std::vector<VertexId>& out, ParentMap& parent_of,
-                          MatchScratch& sc) const;
-
-  /// First-match walk: the same DFS as collect_candidates (same visit
-  /// accounting, status pruning, pass-through shareability and filter
-  /// checks, parent recording), but each discovered candidate is handed
-  /// to `try_claim` immediately and the walk unwinds — returning true —
-  /// as soon as try_claim reports the request covered. The policy scorer
-  /// is never called on this path.
-  bool fm_search(VertexId from, util::InternId type,
-                 const util::TimeWindow& w, const Selection& sel,
-                 const DenseDemand& per_instance_demand, ParentMap& parent_of,
-                 MatchScratch& sc,
-                 const std::function<bool(VertexId)>& try_claim) const;
+  /// The candidate walk of both traversal modes: depth-first from `from`
+  /// (inclusive) through shareable, unpruned containment edges, skipping
+  /// non-up subtrees and recording each vertex's parent for the shared
+  /// marks. Hands every vertex of `type` it reaches to `visit`, which
+  /// returns true to stop the walk; returns whether it stopped. Counts
+  /// only into `sc.stats`.
+  template <class Visit>
+  bool walk_candidates(VertexId from, util::InternId type,
+                       const util::TimeWindow& w, const Selection& sel,
+                       const DenseDemand& per_instance_demand,
+                       ParentMap& parent_of, MatchScratch& sc,
+                       const Visit& visit) const;
 
   /// Why `v` cannot be walked/used shared (RejectReason::none = it can).
-  /// vertex_shareable() is the boolean view of the same checks.
   RejectReason shareable_reason(VertexId v, const util::TimeWindow& w,
                                 const Selection& sel) const;
   /// Why `v` cannot be claimed whole-and-exclusive (none = it can).
@@ -432,14 +428,6 @@ class Traverser {
     return under_excl &&
            covered_under(u, [under](VertexId a) { return a == under; });
   }
-  bool vertex_shareable(VertexId v, const util::TimeWindow& w,
-                        const Selection& sel) const {
-    return shareable_reason(v, w, sel) == RejectReason::none;
-  }
-  bool vertex_exclusively_claimable(VertexId v, const util::TimeWindow& w,
-                                    const Selection& sel) const {
-    return exclusive_reason(v, w, sel) == RejectReason::none;
-  }
   bool filter_admits(VertexId v, const util::TimeWindow& w,
                      const DenseDemand& demand) const;
   void mark_chain(VertexId candidate, VertexId stop_above,
@@ -475,10 +463,11 @@ class Traverser {
   /// count.
   util::Status unbook(const CommittedClaim& cc);
   /// Whether the vertices above a booked claim on `v` admit it over
-  /// [start, start + d): every proper containment ancestor below the root
-  /// is free whole, as the walk's pass-through check demands (an
-  /// exclusive ancestor claim of another job books v without a span on
-  /// v), and, for a whole-instance claim, no shared walker overlaps v.
+  /// [start, start + d): every proper containment ancestor, the root
+  /// included, is free whole, as the walk's pass-through and root checks
+  /// demand (an exclusive ancestor claim of another job books v without a
+  /// span on v), and, for a whole-instance claim, no shared walker
+  /// overlaps v (on the root, which walks never mark: no job does).
   /// `checked` collects the ancestors already found free, so a batch of
   /// claims queries each ancestor once.
   bool ancestors_admit(VertexId v, bool whole, TimePoint start, Duration d,

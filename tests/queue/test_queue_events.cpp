@@ -239,7 +239,7 @@ TEST_F(QueueEventsFixture, CacheKeyIncludesTraversalModeAndDepth) {
 
 // Cancelling a pending job parked behind a blocked head moves no planner
 // state; the job leaves the queue at once and the rest still runs.
-TEST_F(QueueEventsFixture, CancelWhileParkedCountsSpecWasted) {
+TEST_F(QueueEventsFixture, CancelWhileParkedBehindBlockedHead) {
   JobQueue q(*trav, QueuePolicy::fcfs);
   const JobId a = q.submit(whole_nodes(4, 100));
   q.schedule();

@@ -111,7 +111,7 @@ TEST_F(StatsMirrorFixture, CacheInvalidationStaysInLockstep) {
   expect_lockstep(q.stats());
 }
 
-TEST_F(StatsMirrorFixture, SpeculativePipelineStaysInLockstep) {
+TEST_F(StatsMirrorFixture, EasyBackfillRunStaysInLockstep) {
   JobQueue q(*trav, QueuePolicy::easy_backfill);
   for (int i = 0; i < 12; ++i) {
     q.submit(whole_nodes(1 + i % 4, 5 + i));

@@ -53,18 +53,81 @@ class CounterOracle : public ::testing::Test {
   std::unique_ptr<Traverser> trav;
 };
 
-TEST_F(CounterOracle, VisitsAndPrunedMatchTraverserStats) {
-  const auto js = simple_job();
-  ASSERT_TRUE(trav->match(js, MatchOp::allocate, 0, 1));
-  ASSERT_TRUE(trav->match(js, MatchOp::allocate, 0, 2));
+class CounterOracleModes
+    : public CounterOracle,
+      public ::testing::WithParamInterface<TraversalMode> {};
+
+// Every walk count reaches its obs mirror exactly once per probe, whether
+// the probe is committed or not, in both traversal modes.
+TEST_P(CounterOracleModes, VisitsAndPrunedMatchTraverserStats) {
+  const TraversalMode mode = GetParam();
+  // A drained node is skipped as non-up.
+  const auto nodes = g.vertices_of_type(*g.find_type("node"));
+  ASSERT_TRUE(g.set_status(nodes.front(), graph::ResourceStatus::drained));
+
+  TraverserStats probed;    // every probe's delta
+  TraverserStats committed; // the committed probes' deltas
+  auto add = [](TraverserStats& sum, const TraverserStats& d) {
+    sum.visits += d.visits;
+    sum.pruned += d.pruned;
+    sum.status_pruned += d.status_pruned;
+    sum.postorder_rejects += d.postorder_rejects;
+    sum.first_match_stops += d.first_match_stops;
+    sum.match_attempts += d.match_attempts;
+  };
+  MatchScratch sc;
+  auto run = [&](const jobspec::Jobspec& js, JobId job, bool commit) {
+    auto p = trav->probe(js, MatchOp::allocate, 0, job, sc, mode);
+    add(probed, p.delta);
+    if (!commit) return p.ok;
+    add(committed, p.delta);
+    return static_cast<bool>(trav->commit(std::move(p)));
+  };
+  // Two cores on the second node of rack0 (the first is drained).
+  ASSERT_TRUE(run(simple_job(2), 1, true));
+  // Four cores: that node's remaining two fail post-order, rack1 hosts it.
+  ASSERT_TRUE(run(simple_job(4), 2, true));
+  // A never-committed probe still counts in the monitor.
+  ASSERT_TRUE(run(simple_job(4), 3, false));
+  // Four cores twice more: rack1's last node takes the first; then
+  // rack0 fails post-order, rack1's filter prunes and the match fails.
+  ASSERT_TRUE(run(simple_job(4), 4, true));
+  ASSERT_FALSE(run(simple_job(4), 5, true));
+
   const auto& s = trav->stats();
   const auto& m = obs::monitor();
-  // The obs counters ride alongside the legacy stats at the same sites.
-  EXPECT_EQ(m.trav_visits.value(), s.visits);
-  EXPECT_EQ(m.trav_pruned.value(), s.pruned);
-  EXPECT_EQ(m.trav_match_attempts.value(), s.match_attempts);
-  EXPECT_GT(m.trav_visits.value(), 0u);
+  EXPECT_EQ(s.visits, committed.visits);
+  EXPECT_EQ(s.pruned, committed.pruned);
+  EXPECT_EQ(s.status_pruned, committed.status_pruned);
+  EXPECT_EQ(s.postorder_rejects, committed.postorder_rejects);
+  EXPECT_EQ(s.first_match_stops, committed.first_match_stops);
+  EXPECT_EQ(s.match_attempts, committed.match_attempts);
+  EXPECT_EQ(m.trav_visits.value(), probed.visits);
+  EXPECT_EQ(m.trav_pruned.value(), probed.pruned);
+  EXPECT_EQ(m.trav_status_pruned.value(), probed.status_pruned);
+  EXPECT_EQ(m.trav_postorder_rejects.value(), probed.postorder_rejects);
+  EXPECT_EQ(m.trav_first_match_stops.value(), probed.first_match_stops);
+  EXPECT_EQ(m.trav_match_attempts.value(), probed.match_attempts);
+  EXPECT_GT(probed.visits, committed.visits);
+  EXPECT_GT(probed.pruned, 0u);
+  EXPECT_GT(probed.status_pruned, 0u);
+  EXPECT_GT(probed.postorder_rejects, 0u);
+  EXPECT_EQ(probed.match_attempts, 5u);
+  // Only first-match walks stop early.
+  if (mode == TraversalMode::first_match) {
+    EXPECT_GT(probed.first_match_stops, 0u);
+  } else {
+    EXPECT_EQ(probed.first_match_stops, 0u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, CounterOracleModes,
+    ::testing::Values(TraversalMode::scored, TraversalMode::first_match),
+    [](const ::testing::TestParamInfo<TraversalMode>& info) {
+      return info.param == TraversalMode::first_match ? "first_match"
+                                                      : "scored";
+    });
 
 TEST_F(CounterOracle, PerOpCallAndFailureAccounting) {
   const auto js = simple_job();

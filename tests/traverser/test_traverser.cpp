@@ -333,15 +333,19 @@ TEST_F(TinyCluster, ReservationsAccumulate) {
   EXPECT_TRUE(trav->verify_filters());
 }
 
+std::string tiny_recipe_text() {
+  std::ifstream in(std::string(FLUXION_RECIPE_DIR) + "/tiny.grug");
+  EXPECT_TRUE(in);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 // An exclusive claim on the traverser root must see the jobs below it: the
 // walk refuses it (resource_busy) and reserves it for when the jobs end,
 // instead of passing it and failing at commit.
 TEST(RootClaim, ExclusiveRootClaimWaitsForJobsBelow) {
-  std::ifstream in(std::string(FLUXION_RECIPE_DIR) + "/tiny.grug");
-  ASSERT_TRUE(in);
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto recipe = grug::parse(text.str());
+  auto recipe = grug::parse(tiny_recipe_text());
   ASSERT_TRUE(recipe);
   graph::ResourceGraph g(0, 100000);
   auto root = grug::build(g, *recipe);
@@ -365,7 +369,79 @@ TEST(RootClaim, ExclusiveRootClaimWaitsForJobsBelow) {
   ASSERT_TRUE(later) << later.error().message;
   EXPECT_TRUE(later->reserved);
   EXPECT_EQ(later->at, 100);
+
+  // Restoring a whole-root allocation over the job below is refused too.
+  MatchResult whole;
+  whole.job = 4;
+  whole.at = 0;
+  whole.duration = 50;
+  whole.resources.push_back({*root, 1, true});
+  auto restored = trav.restore(whole);
+  ASSERT_FALSE(restored);
+  EXPECT_EQ(restored.error().code, Errc::resource_busy)
+      << restored.error().message;
   EXPECT_EQ(util::internal_error_count(), internal0);
+}
+
+// The converse: while one job holds the root whole, nothing may be placed
+// or restored beneath it. With a root pruning filter a walk that missed
+// this would fail at commit; without one it would double-book.
+TEST(RootClaim, JobBelowExclusiveRootWaits) {
+  const std::string stock = tiny_recipe_text();
+  std::string rack_only = stock;
+  const std::string cluster_filter = "filter-at cluster rack";
+  const auto at = rack_only.find(cluster_filter);
+  ASSERT_NE(at, std::string::npos);
+  rack_only.replace(at, cluster_filter.size(), "filter-at rack");
+  for (const std::string& text : {stock, rack_only}) {
+    const auto line = text.find("filter-at");
+    SCOPED_TRACE(text.substr(line, text.find('\n', line) - line));
+    auto recipe = grug::parse(text);
+    ASSERT_TRUE(recipe);
+    graph::ResourceGraph g(0, 100000);
+    auto root = grug::build(g, *recipe);
+    ASSERT_TRUE(root);
+    policy::LowIdPolicy pol;
+    Traverser trav(g, *root, pol);
+    trav.set_audit(true);
+    const std::uint64_t internal0 = util::internal_error_count();
+
+    auto cluster = make({slot(1, {res("cluster", 1)})}, 50);
+    auto cores = make({slot(1, {res("core", 2)})}, 100);
+    ASSERT_TRUE(cluster);
+    ASSERT_TRUE(cores);
+    auto held = trav.match(*cluster, MatchOp::allocate, 0, 1);
+    ASSERT_TRUE(held) << held.error().message;
+    EXPECT_EQ(held->at, 0);
+
+    auto now = trav.match(*cores, MatchOp::allocate, 0, 2);
+    ASSERT_FALSE(now);
+    EXPECT_EQ(now.error().code, Errc::resource_busy) << now.error().message;
+
+    auto later = trav.match(*cores, MatchOp::allocate_orelse_reserve, 0, 3);
+    ASSERT_TRUE(later) << later.error().message;
+    EXPECT_TRUE(later->reserved);
+    EXPECT_EQ(later->at, 50);
+
+    // Nor may the root claim be extended over the job reserved after it.
+    auto extended = trav.extend(1, 10);
+    ASSERT_FALSE(extended);
+    EXPECT_EQ(extended.error().code, Errc::resource_busy)
+        << extended.error().message;
+
+    // Restoring an allocation below the held root is refused the same way.
+    MatchResult below;
+    below.job = 4;
+    below.at = 0;
+    below.duration = 10;
+    below.resources.push_back(
+        {g.vertices_of_type(*g.find_type("core")).front(), 1, true});
+    auto restored = trav.restore(below);
+    ASSERT_FALSE(restored);
+    EXPECT_EQ(restored.error().code, Errc::resource_busy)
+        << restored.error().message;
+    EXPECT_EQ(util::internal_error_count(), internal0);
+  }
 }
 
 }  // namespace
