@@ -15,7 +15,7 @@
 //                           perturbs the timings slightly)
 //
 // With metrics on, the filtered run also reports planner span adds per
-// committed job (obs counters: span adds over jobs started or reserved)
+// committed job (obs span adds over the QueueStats jobs started or reserved)
 // and nodes per committed job (node vertices in those jobs' resources).
 // Their ratio is the commit cost per node: a whole-node job books one
 // schedule span per node (its cores are covered, see docs/matching.md),
@@ -42,7 +42,7 @@ struct Run {
   std::uint64_t pruned = 0;
   std::uint64_t attempts = 0;
   std::uint64_t reserved = 0;
-  std::uint64_t committed = 0;  // jobs started or reserved (obs)
+  std::uint64_t committed = 0;  // jobs started or reserved (QueueStats)
   std::uint64_t span_adds = 0;  // planner span adds (obs)
   std::uint64_t nodes = 0;      // node vertices in committed jobs
 };
@@ -58,9 +58,8 @@ Run run_once(bool prune, int racks, const std::vector<sim::TraceJob>& trace) {
     q.submit(*js);
   }
   const auto& m = obs::monitor();
-  auto committed = [&m] {
-    return m.queue_started_immediately.value() +
-           m.queue_reservations_made.value();
+  auto committed = [&q] {
+    return q.stats().started_immediately + q.stats().reservations_made;
   };
   const std::uint64_t committed0 = committed();
   const std::uint64_t spans0 = m.planner_span_adds.value();

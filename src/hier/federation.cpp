@@ -237,13 +237,11 @@ void Federation::pump_routing() {
     if (leaf) {
       target = *leaf;
       ++stats_.routed;
-      if (timed) obs::monitor().hier_routed.inc();
     } else {
       // No leaf can ever satisfy it: the root's whole-machine queue is
       // the court of last resort (it rejects what even it cannot hold).
       target = members_.size() - 1;
       ++stats_.escalated;
-      if (timed) obs::monitor().hier_escalated.inc();
     }
     const queue::JobId local =
         members_[target]->queue->submit(std::move(entry.spec), entry.priority);
@@ -307,7 +305,6 @@ void Federation::steal_pass() {
       }
       ++moved;
       ++stats_.stolen;
-      if (obs::enabled()) obs::monitor().hier_stolen.inc();
       stole = true;
       break;
     }
@@ -315,7 +312,6 @@ void Federation::steal_pass() {
   }
   if (moved > 0) {
     ++stats_.steal_passes;
-    if (obs::enabled()) obs::monitor().hier_steal_passes.inc();
   }
 }
 
@@ -417,17 +413,12 @@ util::Expected<traverser::MatchResult> Federation::match_allocate(
     auto r = attempt(*leaf);
     if (r || members_.size() == 1) {
       ++stats_.routed;
-      if (obs::enabled()) obs::monitor().hier_routed.inc();
       return r;
     }
   }
-  if (members_.size() == 1) {
-    // No satisfying leaf and nowhere to escalate.
-    ++stats_.escalated;
-    return attempt(0);
-  }
+  // pick_leaf always picks the sole member of a flat federation, so only
+  // a federation with a root to escalate to gets here.
   ++stats_.escalated;
-  if (obs::enabled()) obs::monitor().hier_escalated.inc();
   return attempt(members_.size() - 1);
 }
 

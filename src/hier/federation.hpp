@@ -221,6 +221,12 @@ class Federation {
   FederationStats stats_;
   std::string last_member_;
   std::vector<std::pair<std::string, std::string>> last_args_;
+  /// The stats_ tallies, reported by obs (unlabelled: one federation).
+  obs::Source obs_source_{nullptr,
+                          {{"hier.routed", &stats_.routed},
+                           {"hier.escalated", &stats_.escalated},
+                           {"hier.stolen", &stats_.stolen},
+                           {"hier.steal_passes", &stats_.steal_passes}}};
 };
 
 }  // namespace fluxion::hier

@@ -12,15 +12,19 @@
 //     thread) share this monitor and may bump the same counter at once.
 //     Relaxed ordering is enough — the values are monotone tallies, never
 //     used for synchronisation.
-//   * One process-wide monitor, not per-context: tools enable it, run,
-//     and export one metrics document (`PerfMonitor::json`).
+//   * One counter per fact: a tally its owner keeps (QueueStats,
+//     FederationStats) is read through a Source, never copied here.
+//   * Every metric is one row of the catalogue table in metrics.cpp.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/histogram.hpp"
 
@@ -89,6 +93,38 @@ struct OpMetrics {
   util::Histogram latency_us{0.0, 100000.0, 50};  // 0..100 ms, 2 ms bins
 };
 
+/// An object's own monotone tallies (a JobQueue's QueueStats, a
+/// Federation's FederationStats), registered under their catalogue keys
+/// ("queue.submitted") and an instance label (nullptr: unlabelled), which
+/// must outlive the registration. The exporters report what the tallies
+/// counted while obs was enabled since the last reset(); the four rules
+/// that keep this exact are in docs/observability.md. Registration takes
+/// a mutex; exports must not run while another thread bumps a tally.
+class Source {
+ public:
+  using Tally = std::pair<const char*, const std::uint64_t*>;
+  Source(const std::string* label, std::initializer_list<Tally> tallies);
+  ~Source();
+  Source(const Source&) = delete;
+  Source& operator=(const Source&) = delete;
+  void rebaseline();  // count from the current values on
+
+ private:
+  friend struct PerfMonitor;
+  friend void set_enabled(bool on);
+  struct Slot {
+    std::size_t row;  // catalogue row
+    const std::uint64_t* value;
+    std::uint64_t base;
+  };
+  std::string label() const { return label_ ? *label_ : std::string(); }
+  /// Retire the counts since the baselines when `fold`, then rebaseline.
+  void settle(bool fold);
+
+  const std::string* label_;
+  std::vector<Slot> slots_;
+};
+
 /// The metric catalogue (see docs/observability.md). Grouped by layer.
 struct PerfMonitor {
   // --- traverser ----------------------------------------------------------
@@ -129,23 +165,7 @@ struct PerfMonitor {
   util::Histogram sdfu_spans_per_commit{0.0, 64.0, 32};
 
   // --- queue / replay (simulated clock) ------------------------------------
-  Counter queue_submitted;
-  Counter queue_schedule_passes;
-  // Mirrors of the monotone QueueStats tallies (the lockstep is pinned by
-  // tests/queue/test_stats_mirror.cpp — a QueueStats field without a
-  // moving counter here is a bug).
-  Counter queue_match_calls;          // traverser matches actually issued
-  Counter queue_started_immediately;  // allocated at submit/schedule time
-  Counter queue_completed;            // jobs that ran to completion
-  Counter queue_rejected;             // jobs rejected as unsatisfiable/broken
-  Counter queue_events_fired;    // starts + completions dispatched
-  Counter queue_jobs_scanned;    // event-heap pops (valid + stale entries)
-  Counter queue_match_skipped;   // matches avoided by the satisfiability cache
-  Counter queue_cache_invalidations;  // cache drops after a graph mutation
-  // Backfill reservations: planner spans granted to head-blocked jobs and
-  // spans released before running (hold/cancel/evict/replan).
-  Counter queue_reservations_made;
-  Counter queue_reservations_dropped;
+  // Queue tallies (submitted, ...) are each JobQueue's QueueStats.
   Gauge queue_depth;              // pending jobs after the last queue event
   util::Histogram queue_depth_samples{0.0, 4096.0, 64};
   util::Histogram job_wait{0.0, 1048576.0, 64};        // simulated seconds
@@ -171,10 +191,7 @@ struct PerfMonitor {
   util::Histogram dyn_shrink_latency_us{0.0, 100000.0, 50};
 
   // --- hierarchy / federation (paper §5.6) ----------------------------------
-  Counter hier_routed;            // jobs routed to a child member
-  Counter hier_escalated;         // jobs no child could satisfy -> root
-  Counter hier_stolen;            // pending jobs moved by the steal pass
-  Counter hier_steal_passes;      // rebalance passes that moved >= 1 job
+  // routed, escalated, stolen, steal_passes are FederationStats.
   util::Histogram hier_route_latency_us{0.0, 100000.0, 50};
   /// Pending-queue depth per federation member (index = member ordinal;
   /// the root escalation queue rides at index member_count - 1 when
@@ -199,8 +216,12 @@ struct PerfMonitor {
   Counter replica_queries;        // queries served by read replicas
   Counter replica_stale;          // staleness checks finding the writer ahead
 
-  /// Zero every counter, gauge and histogram.
+  /// Zero every counter, gauge and histogram; rebaseline every source.
   void reset();
+
+  /// One counter by catalogue key ("queue.events_fired"): its process-wide
+  /// total, as json() reports it. 0 for an unknown key.
+  std::uint64_t value(std::string_view key) const;
 
   /// The whole catalogue as one JSON document (counters as integers,
   /// histograms via util::Histogram::json).
@@ -216,13 +237,24 @@ struct PerfMonitor {
   /// Human-readable summary; `verbose` appends ASCII histograms — what
   /// `resource-query`'s `stats` / `stats -v` print.
   std::string render(bool verbose) const;
+
+ private:
+  friend class Source;
+  friend void set_enabled(bool on);
+  /// Catalogue row `row`'s counts per instance label, and their total.
+  std::map<std::string, std::uint64_t> sourced(std::size_t row) const;
+  std::uint64_t count(std::size_t row) const;
+  mutable std::mutex sources_mu_;
+  std::vector<Source*> sources_;
+  /// (instance label, catalogue row) -> counts retired since reset().
+  std::map<std::pair<std::string, std::size_t>, std::uint64_t> retired_;
 };
 
 /// Process-wide switch; instrumentation sites read it inline.
 inline bool g_metrics_enabled = false;
 
 inline bool enabled() noexcept { return g_metrics_enabled; }
-inline void set_enabled(bool on) noexcept { g_metrics_enabled = on; }
+void set_enabled(bool on);  // a transition retires or rebaselines sources
 
 /// The process-wide monitor.
 inline PerfMonitor& monitor() noexcept {

@@ -117,7 +117,22 @@ std::string spec_signature(const jobspec::Jobspec& js) {
 }
 
 JobQueue::JobQueue(traverser::Traverser& traverser, QueuePolicy policy)
-    : traverser_(traverser), policy_(policy) {
+    : traverser_(traverser),
+      policy_(policy),
+      obs_source_(&label_,
+                  {{"queue.submitted", &stats_.submitted},
+                   {"queue.schedule_passes", &stats_.schedule_passes},
+                   {"queue.match_calls", &stats_.match_calls},
+                   {"queue.started_immediately", &stats_.started_immediately},
+                   {"queue.completed", &stats_.completed},
+                   {"queue.rejected", &stats_.rejected},
+                   {"queue.events_fired", &stats_.events_fired},
+                   {"queue.jobs_scanned", &stats_.heap_pops},
+                   {"queue.match_skipped", &stats_.match_skipped},
+                   {"queue.cache_invalidations", &stats_.cache_invalidations},
+                   {"queue.reservations_made", &stats_.reservations_made},
+                   {"queue.reservations_dropped",
+                    &stats_.reservations_dropped}}) {
   cache_epoch_ = traverser_.mutation_epoch();
 }
 
@@ -152,7 +167,6 @@ void JobQueue::reject_job(Job& job, const char* why) {
   mark_wait(job, job.wait_cause);  // close the open wait interval
   job.state = JobState::rejected;
   ++stats_.rejected;
-  if (obs::enabled()) obs::monitor().queue_rejected.inc();
   record_event(job.id, "reject", {{"why", obs::event_str(why)}});
 }
 
@@ -186,7 +200,6 @@ void JobQueue::prune_stale_events() const {
   while (!events_.empty() && !event_valid(events_.top())) {
     events_.pop();
     ++stats_.heap_pops;
-    if (obs::enabled()) obs::monitor().queue_jobs_scanned.inc();
   }
 }
 
@@ -199,7 +212,6 @@ void JobQueue::invalidate_match_cache() {
   if (blocked_.empty()) return;
   blocked_.clear();
   ++stats_.cache_invalidations;
-  if (obs::enabled()) obs::monitor().queue_cache_invalidations.inc();
 }
 
 std::string JobQueue::cache_key(Job& job, bool allow_reserve,
@@ -273,23 +285,9 @@ JobId JobQueue::submit(jobspec::Jobspec spec, int priority,
   }
   jobs_.emplace(id, std::move(job));
   order_.push_back(id);
-  // Keep pending_ ordered by (priority desc, submission order): insert
-  // before the first strictly-lower-priority entry.
-  auto pos = pending_.end();
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (jobs_.at(*it).priority < priority) {
-      pos = it;
-      break;
-    }
-  }
-  pending_.insert(pos, id);
+  insert_pending(id);
   ++stats_.submitted;
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    m.queue_submitted.inc();
-    m.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
-    m.queue_depth_samples.add(static_cast<double>(pending_.size()));
-  }
+  sample_depth();
   obs::trace().sim_instant("submit", static_cast<double>(now_), id);
   return id;
 }
@@ -342,8 +340,7 @@ util::Expected<ExportedJob> JobQueue::export_pending(JobId id) {
   order_.erase(std::find(order_.begin(), order_.end(), id));
   jobs_.erase(it);
   if (obs::enabled()) {
-    auto& m = obs::monitor();
-    m.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
+    obs::monitor().queue_depth.set(static_cast<std::int64_t>(pending_.size()));
   }
   return out;
 }
@@ -370,24 +367,11 @@ JobId JobQueue::import_job(ExportedJob in) {
                      : std::vector<std::pair<std::string, std::string>>{
                            {"member", obs::event_str(label_)}});
   }
-  const int priority = job.priority;
   jobs_.emplace(id, std::move(job));
   order_.push_back(id);
-  auto pos = pending_.end();
-  for (auto p = pending_.begin(); p != pending_.end(); ++p) {
-    if (jobs_.at(*p).priority < priority) {
-      pos = p;
-      break;
-    }
-  }
-  pending_.insert(pos, id);
+  insert_pending(id);
   ++stats_.submitted;
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    m.queue_submitted.inc();
-    m.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
-    m.queue_depth_samples.add(static_cast<double>(pending_.size()));
-  }
+  sample_depth();
   return id;
 }
 
@@ -455,7 +439,6 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
     key = cache_key(job, allow_reserve, anchor);
     if (auto hit = blocked_.find(key); hit != blocked_.end()) {
       ++stats_.match_skipped;
-      if (obs::enabled()) obs::monitor().queue_match_skipped.inc();
       if (log_.enabled()) {
         record_event(job.id, "probe",
                      {{"op", obs::event_str(op_label)},
@@ -473,7 +456,6 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
     }
   }
   ++stats_.match_calls;
-  if (obs::enabled()) obs::monitor().queue_match_calls.inc();
   if (log_.enabled()) {
     record_event(job.id, "probe",
                  {{"op", obs::event_str(op_label)},
@@ -501,7 +483,6 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
     } else {
       job.state = JobState::running;
       ++stats_.started_immediately;
-      if (obs::enabled()) obs::monitor().queue_started_immediately.inc();
       mark_wait(job, WaitCause::resources);  // wait over; close the interval
       push_event(job.end_time, kEventCompletion, job.id);
       if (log_.enabled()) {
@@ -545,18 +526,23 @@ util::Expected<traverser::MatchResult> JobQueue::run_match(
   return r;
 }
 
+void JobQueue::sample_depth() const {
+  if (!obs::enabled()) return;
+  auto& m = obs::monitor();
+  m.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
+  m.queue_depth_samples.add(static_cast<double>(pending_.size()));
+}
+
 void JobQueue::note_reservation_made() {
   ++reservations_live_;
   ++stats_.reserved;
   ++stats_.reservations_made;
-  if (obs::enabled()) obs::monitor().queue_reservations_made.inc();
 }
 
 void JobQueue::note_reservation_dropped() {
   --reservations_live_;
   --stats_.reserved;
   ++stats_.reservations_dropped;
-  if (obs::enabled()) obs::monitor().queue_reservations_dropped.inc();
 }
 
 void JobQueue::audit_reservation_count() {
@@ -579,7 +565,7 @@ void JobQueue::set_match_threads(std::size_t n) {
 }
 
 void JobQueue::schedule() {
-  if (obs::enabled()) obs::monitor().queue_schedule_passes.inc();
+  ++stats_.schedule_passes;
   if (traverser_.audit_enabled()) audit_reservation_count();
   if (pending_.empty()) return;
   switch (policy_) {
@@ -687,11 +673,7 @@ void JobQueue::schedule() {
       break;
     }
   }
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    m.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
-    m.queue_depth_samples.add(static_cast<double>(pending_.size()));
-  }
+  sample_depth();
 }
 
 TimePoint JobQueue::next_event() const {
@@ -722,11 +704,6 @@ util::Status JobQueue::fire_events_up_to(TimePoint t) {
     events_.pop();
     ++stats_.heap_pops;
     ++stats_.events_fired;
-    if (obs::enabled()) {
-      auto& m = obs::monitor();
-      m.queue_jobs_scanned.inc();
-      m.queue_events_fired.inc();
-    }
     // The clock follows the events so trace timestamps are monotone and
     // any observer callout sees a coherent now().
     now_ = fire_at;
@@ -753,7 +730,6 @@ util::Status JobQueue::fire_events_up_to(TimePoint t) {
       }
       if (obs::enabled()) {
         auto& m = obs::monitor();
-        m.queue_completed.inc();
         m.job_wait.add(static_cast<double>(job.start_time - job.submit_time));
         m.job_turnaround.add(static_cast<double>(job.end_time -
                                                  job.submit_time));
@@ -855,14 +831,7 @@ util::Status JobQueue::release(JobId id) {
   // wait if the gate defers.
   mark_wait(job, WaitCause::resources);
   record_event(id, "release");
-  auto pos = pending_.end();
-  for (auto p = pending_.begin(); p != pending_.end(); ++p) {
-    if (jobs_.at(*p).priority < job.priority) {
-      pos = p;
-      break;
-    }
-  }
-  pending_.insert(pos, id);
+  insert_pending(id);
   return util::Status::ok();
 }
 
@@ -925,6 +894,16 @@ void JobQueue::reject_broken_dependents(util::Status& released) {
   }
 }
 
+void JobQueue::insert_pending(JobId id) {
+  // Before the first strictly-lower-priority entry: FIFO within a level.
+  const int priority = jobs_.at(id).priority;
+  pending_.insert(std::find_if(pending_.begin(), pending_.end(),
+                               [&](JobId p) {
+                                 return jobs_.at(p).priority < priority;
+                               }),
+                  id);
+}
+
 void JobQueue::enqueue_pending(Job& job) {
   // Charge whatever wait interval is open (none for a running job being
   // requeued — its time since start was runtime, not wait), then start a
@@ -939,14 +918,7 @@ void JobQueue::enqueue_pending(Job& job) {
   job.start_time = -1;
   job.end_time = -1;
   job.resources.clear();
-  auto pos = pending_.end();
-  for (auto p = pending_.begin(); p != pending_.end(); ++p) {
-    if (jobs_.at(*p).priority < job.priority) {
-      pos = p;
-      break;
-    }
-  }
-  pending_.insert(pos, job.id);
+  insert_pending(job.id);
 }
 
 EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
@@ -1010,11 +982,7 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
       reject_broken_dependents(result.released);
     }
   }
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    m.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
-    m.queue_depth_samples.add(static_cast<double>(pending_.size()));
-  }
+  sample_depth();
   return result;
 }
 

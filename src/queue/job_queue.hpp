@@ -38,6 +38,7 @@
 
 #include "jobspec/jobspec.hpp"
 #include "obs/eventlog.hpp"
+#include "obs/metrics.hpp"
 #include "traverser/traverser.hpp"
 #include "util/expected.hpp"
 
@@ -173,9 +174,9 @@ struct QueueStats {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
   double total_match_seconds = 0.0;
-  // Event-dispatch and satisfiability-cache effectiveness (mirrored into
-  // obs::monitor() when enabled; kept here so benches/tools can read them
-  // without turning instrumentation on).
+  // Event-dispatch and satisfiability-cache effectiveness. obs reports
+  // these and the other monotone tallies through the queue's obs::Source.
+  std::uint64_t schedule_passes = 0;  // schedule() calls
   std::uint64_t events_fired = 0;    // starts + completions dispatched
   std::uint64_t heap_pops = 0;       // event-heap pops, incl. stale entries
   std::uint64_t match_calls = 0;     // traverser matches actually issued
@@ -299,7 +300,7 @@ class JobQueue {
     return reservation_depth_;
   }
 
-  /// Drop every cached match failure (counted in stats/obs when the
+  /// Drop every cached match failure (counted in stats when the
   /// cache was non-empty). Mutations visible to the traverser are picked
   /// up automatically via its mutation epoch; this exists for external
   /// state changes the epoch cannot see.
@@ -407,8 +408,10 @@ class JobQueue {
   util::Expected<traverser::MatchResult> run_match(Job& job,
                                                    bool allow_reserve,
                                                    TimePoint anchor);
-  /// Mark a reservation granted / released-before-start in stats, obs
-  /// and the live reservation count.
+  /// Set the obs depth gauge and add a depth sample.
+  void sample_depth() const;
+  /// Mark a reservation granted / released-before-start in stats and the
+  /// live reservation count.
   void note_reservation_made();
   void note_reservation_dropped();
   /// Audit-mode cross-check of reservations_live_ against a recount over
@@ -423,7 +426,7 @@ class JobQueue {
   /// schedule passes don't spam the log).
   void note_dependency_wait(Job& job);
   /// Terminal-reject bookkeeping shared by every reject site: closes the
-  /// wait interval, flips the state, counts stats/obs and records the
+  /// wait interval, flips the state, counts it in stats and records the
   /// "reject" event. Callers still manage pending_ membership and span
   /// release.
   void reject_job(Job& job, const char* why);
@@ -440,6 +443,8 @@ class JobQueue {
   /// Clear the cache when the traverser's mutation epoch moved since the
   /// last look; returns the cache key for (job, allow_reserve, anchor).
   std::string cache_key(Job& job, bool allow_reserve, TimePoint anchor);
+  /// Insert a job into pending_ in (priority desc, arrival) order.
+  void insert_pending(JobId id);
   /// Reset a job to pending and re-insert it in (priority, submission)
   /// order.
   void enqueue_pending(Job& job);
@@ -497,6 +502,8 @@ class JobQueue {
   std::unordered_map<std::string, BlockedVerdict> blocked_;
   /// Job-lifecycle eventlog.
   obs::EventLog log_;
+  /// stats_ as obs reads it, under label_; last, as its destructor reads.
+  obs::Source obs_source_;
 };
 
 }  // namespace fluxion::queue

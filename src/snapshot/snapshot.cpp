@@ -223,7 +223,6 @@ std::string EngineSnapshot::save(const graph::ResourceGraph& g,
       w.iv(j.start_time);
       w.iv(j.end_time);
       write_resources(w, j.resources);
-      w.f64(j.match_seconds);
       w.iv(j.wait.resources);
       w.iv(j.wait.reservation);
       w.iv(j.wait.held);
@@ -241,7 +240,7 @@ std::string EngineSnapshot::save(const graph::ResourceGraph& g,
     w.uv(qs.reserved);
     w.uv(qs.completed);
     w.uv(qs.rejected);
-    w.f64(qs.total_match_seconds);
+    w.uv(qs.schedule_passes);
     w.uv(qs.events_fired);
     w.uv(qs.heap_pops);
     w.uv(qs.match_calls);
@@ -598,7 +597,7 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
       if (!read_resources(r, nverts, j.resources)) {
         return corrupt("queue job resources");
       }
-      j.match_seconds = r.f64();
+      if (version < 3) (void)r.f64();  // wall-clock match seconds: dropped
       j.wait.resources = r.iv();
       j.wait.reservation = r.iv();
       j.wait.held = r.iv();
@@ -629,7 +628,11 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
     qs.reserved = r.uv();
     qs.completed = r.uv();
     qs.rejected = r.uv();
-    qs.total_match_seconds = r.f64();
+    if (version < 3) {
+      (void)r.f64();  // total_match_seconds
+    } else {
+      qs.schedule_passes = r.uv();
+    }
     qs.events_fired = r.uv();
     qs.heap_pops = r.uv();
     qs.match_calls = r.uv();
@@ -642,6 +645,8 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
     }
     qs.reservations_made = r.uv();
     qs.reservations_dropped = r.uv();
+    // A warm start reports only what runs after the load.
+    q.obs_source_.rebaseline();
     // Event heap, rebuilt canonically from job state: a reserved job's
     // future start, a running job's completion. The writer's heap may
     // additionally hold stale (lazily deleted) entries; those only ever

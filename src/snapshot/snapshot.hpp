@@ -32,8 +32,9 @@ namespace fluxion::snapshot {
 
 /// Current format version. load() refuses anything newer; older versions
 /// are migrated in place when a reader for them still exists (version 1:
-/// the queue section carries four extra counters, skipped on load).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// four extra queue counters; versions 1-2: wall-clock match seconds
+/// instead of the schedule-pass count; all skipped on load).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// A freshly rebuilt engine: the graph, the policy object the traverser
 /// ranks with, the traverser itself, and (when the snapshot carried one)

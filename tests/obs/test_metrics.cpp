@@ -69,12 +69,18 @@ TEST(PerfMonitor, ResetZeroesEveryGroup) {
 }
 
 TEST(PerfMonitor, JsonHasEverySectionAndRoundTripValues) {
-  PerfMonitor m;
+  set_enabled(true);
+  PerfMonitor& m = monitor();
+  m.reset();
+  std::uint64_t submitted = 0;  // a queue's tally, read through a Source
+  const Source queue(nullptr, {{"queue.submitted", &submitted}});
   m.trav_visits.inc(5);
   m.op(Op::cancel).calls.inc(2);
   m.planner_atf_probes.inc(11);
-  m.queue_submitted.inc(4);
+  submitted = 4;
   const std::string doc = m.json();
+  m.reset();
+  set_enabled(false);
   EXPECT_EQ(doc.front(), '{');
   EXPECT_EQ(doc.back(), '}');
   for (const char* section :
@@ -89,13 +95,19 @@ TEST(PerfMonitor, JsonHasEverySectionAndRoundTripValues) {
 }
 
 TEST(PerfMonitor, RenderSkipsIdleOpsAndQueue) {
-  PerfMonitor m;
+  set_enabled(true);
+  PerfMonitor& m = monitor();
+  m.reset();
+  std::uint64_t submitted = 0;
+  const Source queue(nullptr, {{"queue.submitted", &submitted}});
   std::string out = m.render(false);
   EXPECT_EQ(out.find("calls="), std::string::npos) << out;
   EXPECT_EQ(out.find("queue:"), std::string::npos) << out;
   m.op(Op::satisfiability).calls.inc();
-  m.queue_submitted.inc();
+  ++submitted;
   out = m.render(false);
+  m.reset();
+  set_enabled(false);
   EXPECT_NE(out.find("satisfiability"), std::string::npos) << out;
   EXPECT_NE(out.find("queue:"), std::string::npos) << out;
 }

@@ -35,8 +35,10 @@ std::vector<std::string> lines_of(const std::string& text) {
 }
 
 TEST_F(PrometheusFixture, CountersRenderAsTotalSeries) {
+  std::uint64_t submitted = 0;  // a queue's tally, read through a Source
+  const Source queue(nullptr, {{"queue.submitted", &submitted}});
   monitor().trav_visits.inc(7);
-  monitor().queue_submitted.inc(3);
+  submitted = 3;
   const std::string text = monitor().prometheus();
   EXPECT_NE(text.find("# TYPE fluxion_traverser_visits_total counter\n"
                       "fluxion_traverser_visits_total 7\n"),

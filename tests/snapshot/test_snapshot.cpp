@@ -201,6 +201,32 @@ TEST_F(SnapshotFixture, SaveIsDeterministic) {
             EngineSnapshot::save(g, *trav, nullptr));
 }
 
+// Two runs of the same workload, each on its own engine, save the same
+// bytes: the image holds no wall-clock value (such as match seconds).
+TEST_F(SnapshotFixture, IdenticalRunsSaveIdenticalBytes) {
+  const auto run = [] {
+    graph::ResourceGraph rg(0, 1 << 20);
+    auto recipe = grug::parse(
+        "filters node core\nfilter-at cluster\n"
+        "cluster count=1\n  node count=4\n    core count=4\n");
+    EXPECT_TRUE(recipe);
+    auto root = grug::build(rg, *recipe);
+    EXPECT_TRUE(root);
+    policy::LowIdPolicy lp;
+    traverser::Traverser tr(rg, *root, lp);
+    queue::JobQueue q(tr, queue::QueuePolicy::conservative_backfill);
+    for (int i = 0; i < 8; ++i) q.submit(whole_nodes(1 + i % 4, 50 + 10 * i));
+    q.schedule();
+    EXPECT_TRUE(q.advance_to(120));
+    q.schedule();
+    return save_engine(rg, tr, &q);
+  };
+  const std::string first = run();
+  const std::string second = run();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
+}
+
 TEST_F(SnapshotFixture, QueueRoundTripPreservesJobsAndClock) {
   queue::JobQueue q(*trav, queue::QueuePolicy::conservative_backfill);
   q.set_eventlog(true);

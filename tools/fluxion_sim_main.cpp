@@ -96,6 +96,18 @@ std::string read_file(const std::string& path, bool& ok) {
   return ss.str();
 }
 
+/// Write `text` to `path`; false, after saying so on stderr, when the
+/// file cannot be opened.
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "fluxion-sim: cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << text;
+  return true;
+}
+
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -397,41 +409,21 @@ int main(int argc, char** argv) {
     }
     if (csv != stdout) std::fclose(csv);
 
-    if (!eventlog_path.empty()) {
-      std::ofstream eo(eventlog_path);
-      if (!eo) {
-        std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                     eventlog_path.c_str());
-        return 2;
-      }
-      eo << (*fed)->eventlog_jsonl();
+    if (!eventlog_path.empty() &&
+        !write_file(eventlog_path, (*fed)->eventlog_jsonl())) {
+      return 2;
     }
-    if (!metrics_path.empty()) {
-      std::ofstream mo(metrics_path);
-      if (!mo) {
-        std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                     metrics_path.c_str());
-        return 2;
-      }
-      mo << obs::monitor().json() << "\n";
+    if (!metrics_path.empty() &&
+        !write_file(metrics_path, obs::monitor().json() + "\n")) {
+      return 2;
     }
-    if (!prom_path.empty()) {
-      std::ofstream po(prom_path);
-      if (!po) {
-        std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                     prom_path.c_str());
-        return 2;
-      }
-      po << obs::monitor().prometheus();
+    if (!prom_path.empty() &&
+        !write_file(prom_path, obs::monitor().prometheus())) {
+      return 2;
     }
-    if (!trace_out_path.empty()) {
-      std::ofstream to(trace_out_path);
-      if (!to) {
-        std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                     trace_out_path.c_str());
-        return 2;
-      }
-      to << obs::trace().chrome_json();
+    if (!trace_out_path.empty() &&
+        !write_file(trace_out_path, obs::trace().chrome_json())) {
+      return 2;
     }
 
     const auto& fs = (*fed)->stats();
@@ -674,51 +666,27 @@ int main(int argc, char** argv) {
   }
   if (csv != stdout) std::fclose(csv);
 
-  if (!util_path.empty()) {
-    std::ofstream u(util_path);
-    if (!u) {
-      std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                   util_path.c_str());
-      return 2;
-    }
-    u << sim::utilization_csv(sim::utilization_timeline(q));
+  if (!util_path.empty() &&
+      !write_file(util_path,
+                  sim::utilization_csv(sim::utilization_timeline(q)))) {
+    return 2;
   }
 
-  if (!metrics_path.empty()) {
-    std::ofstream mo(metrics_path);
-    if (!mo) {
-      std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                   metrics_path.c_str());
-      return 2;
-    }
-    mo << obs::monitor().json() << "\n";
+  if (!metrics_path.empty() &&
+      !write_file(metrics_path, obs::monitor().json() + "\n")) {
+    return 2;
   }
-  if (!trace_out_path.empty()) {
-    std::ofstream to(trace_out_path);
-    if (!to) {
-      std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                   trace_out_path.c_str());
-      return 2;
-    }
-    to << obs::trace().chrome_json();
+  if (!trace_out_path.empty() &&
+      !write_file(trace_out_path, obs::trace().chrome_json())) {
+    return 2;
   }
-  if (!eventlog_path.empty()) {
-    std::ofstream eo(eventlog_path);
-    if (!eo) {
-      std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                   eventlog_path.c_str());
-      return 2;
-    }
-    eo << q.eventlog().jsonl();
+  if (!eventlog_path.empty() &&
+      !write_file(eventlog_path, q.eventlog().jsonl())) {
+    return 2;
   }
-  if (!prom_path.empty()) {
-    std::ofstream po(prom_path);
-    if (!po) {
-      std::fprintf(stderr, "fluxion-sim: cannot write %s\n",
-                   prom_path.c_str());
-      return 2;
-    }
-    po << obs::monitor().prometheus();
+  if (!prom_path.empty() &&
+      !write_file(prom_path, obs::monitor().prometheus())) {
+    return 2;
   }
 
   const auto m = q.metrics();
