@@ -1,6 +1,6 @@
 // Figure 6b (paper §6.2): Planner query performance versus pre-populated
-// load, plus an ablation of the ET augmented-tree search (Algorithm 1)
-// against a linear sweep.
+// load, plus an ablation of the augmented time tree's earliest-fit
+// descent against a linear sweep.
 //
 // Setup mirrors the paper: a single Planner with 128 units of an unnamed
 // resource; pre-populated spans drawn as <r, d> with r ~ U[1,128] and
@@ -115,9 +115,7 @@ void BM_SatDuring(benchmark::State& state) {
 }
 
 void BM_EarliestAt(benchmark::State& state) {
-  // avail_time_first briefly mutates the ET tree, so work on the shared
-  // instance is safe only single-threaded (benchmark default).
-  auto& l = const_cast<Loaded&>(loaded_planner(state.range(0)));
+  const auto& l = loaded_planner(state.range(0));
   const std::int64_t r = state.range(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(l.plan->avail_time_first(0, 1, r));
@@ -136,11 +134,11 @@ BENCHMARK(BM_SatAt)->Apply(SpanSweep);
 BENCHMARK(BM_SatDuring)->Apply(SpanSweep);
 BENCHMARK(BM_EarliestAt)->Apply(SpanSweep);
 
-// --- Ablation: ET augmented tree vs linear timeline sweep -------------------
+// --- Ablation: augmented time tree vs linear sweep --------------------------
 //
 // The honest baseline keeps the same span set in a sorted point timeline
 // and finds the earliest fit by sweeping left to right (what a planner
-// without the augmented ET index must do).
+// without the subtree minima must do).
 struct LinearTimeline {
   // time -> delta of in-use amount
   std::map<TimePoint, std::int64_t> deltas;

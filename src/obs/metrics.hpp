@@ -143,15 +143,15 @@ struct PerfMonitor {
     return ops[static_cast<std::size_t>(o)];
   }
 
-  // --- planner (SP/ET trees, one pool) ------------------------------------
-  Counter planner_point_inserts;  // scheduled points created (both trees)
+  // --- planner (one time tree, one pool) ----------------------------------
+  Counter planner_point_inserts;  // scheduled points created
   Counter planner_point_removes;  // scheduled points collected
-  Counter planner_rekeys;         // ET re-index on in_use change
+  Counter planner_rekeys;         // in_use rewrites by span add/remove
   Counter planner_span_adds;
   Counter planner_span_removes;
   Counter planner_avail_queries;  // avail_at/avail_during/avail_resources_during
   Counter planner_avail_time_first;
-  Counter planner_atf_probes;     // FINDEARLIESTAT iterations (Algorithm 1)
+  Counter planner_atf_probes;     // earliest-fit candidates tested
 
   // --- planner_multi (aggregate filters, root PlannerMultiAvailTimeFirst) --
   Counter multi_span_adds;

@@ -30,11 +30,8 @@ Planner::Planner(TimePoint base, Duration horizon, std::int64_t total,
   ScheduledPoint* p = point_pool_.create();
   p->at = base_;
   p->in_use = 0;
-  p->remaining = total_;
   p->ref_count = 1;  // never collected
-  p->et.point = p;
   sp_tree_.insert(p);
-  et_tree_.insert(&p->et);
   points_.emplace(base_, p);
 }
 
@@ -56,11 +53,8 @@ ScheduledPoint* Planner::get_or_create_point(TimePoint t) {
   ScheduledPoint* raw = point_pool_.create();
   raw->at = t;
   raw->in_use = prev->in_use;  // state carries forward until changed
-  raw->remaining = total_ - raw->in_use;
   raw->ref_count = 0;
-  raw->et.point = raw;
   sp_tree_.insert(raw);
-  et_tree_.insert(&raw->et);
   points_.emplace(t, raw);
   if (obs::enabled()) obs::monitor().planner_point_inserts.inc();
   return raw;
@@ -74,7 +68,6 @@ void Planner::maybe_collect(ScheduledPoint* p) {
     return prev != nullptr && prev->in_use == p->in_use;
   }());
   sp_tree_.erase(p);
-  et_tree_.erase(&p->et);
   points_.erase(p->at);
   point_pool_.destroy(p);
   if (obs::enabled()) obs::monitor().planner_point_removes.inc();
@@ -82,10 +75,8 @@ void Planner::maybe_collect(ScheduledPoint* p) {
 
 void Planner::rekey(ScheduledPoint* p, std::int64_t new_in_use) {
   if (obs::enabled()) obs::monitor().planner_rekeys.inc();
-  et_tree_.erase(&p->et);
   p->in_use = new_in_use;
-  p->remaining = total_ - new_in_use;
-  et_tree_.insert(&p->et);
+  SpTree::refresh(p);
 }
 
 util::Expected<SpanId> Planner::add_span(TimePoint start, Duration duration,
@@ -149,7 +140,7 @@ util::Expected<std::int64_t> Planner::avail_at(TimePoint t) const {
   }
   const ScheduledPoint* p = floor_point(t);
   assert(p != nullptr);
-  return p->remaining;
+  return total_ - p->in_use;
 }
 
 bool Planner::avail_during(TimePoint at, Duration duration,
@@ -162,7 +153,7 @@ bool Planner::avail_during(TimePoint at, Duration duration,
   assert(p != nullptr);
   for (const ScheduledPoint* q = p; q != nullptr && q->at < at + duration;
        q = SpTree::next(q)) {
-    if (q->remaining < request) return false;
+    if (q->in_use > total_ - request) return false;
   }
   return true;
 }
@@ -180,68 +171,62 @@ util::Expected<std::int64_t> Planner::avail_resources_during(
   }
   const ScheduledPoint* p = floor_point(at);
   assert(p != nullptr);
-  std::int64_t min_remaining = p->remaining;
+  std::int64_t peak = p->in_use;
   for (const ScheduledPoint* q = SpTree::next(p);
        q != nullptr && q->at < at + duration; q = SpTree::next(q)) {
-    min_remaining = std::min(min_remaining, q->remaining);
+    peak = std::max(peak, q->in_use);
   }
-  return min_remaining;
+  return total_ - peak;
 }
 
 bool Planner::span_ok(const ScheduledPoint* start, Duration duration,
                       std::int64_t request) const {
   for (const ScheduledPoint* q = start;
        q != nullptr && q->at < start->at + duration; q = SpTree::next(q)) {
-    if (q->remaining < request) return false;
+    if (q->in_use > total_ - request) return false;
   }
   return true;
 }
 
-EtNode* Planner::find_earliest_at(std::int64_t request) const {
-  // Paper Algorithm 1 (FINDANCHOR + FINDETPOINT). When a node's key
-  // (remaining) satisfies the request, so does its whole right subtree, so
-  // min(node.at, right.subtree_min_time) is a candidate in O(1); the left
-  // subtree may still hold satisfying nodes with earlier times.
-  EtNode* anchor = nullptr;
-  TimePoint earliest = util::kMaxTime;
-  for (EtNode* n = et_tree_.root(); n != nullptr;) {
-    if (request <= n->point->remaining) {
-      TimePoint t = n->point->at;
-      if (auto* r = static_cast<EtNode*>(n->right)) {
-        t = std::min(t, r->subtree_min_time);
-      }
-      if (t < earliest) {
-        earliest = t;
-        anchor = n;
-      }
-      n = static_cast<EtNode*>(n->left);
+const ScheduledPoint* Planner::first_fit_after(TimePoint t,
+                                               std::int64_t request) const {
+  // In time order, the points after t are, for each node where the search
+  // path for t turns left (deepest first), that node and then its right
+  // subtree. So the first fit lies under the deepest such node whose own
+  // in_use or right subtree fits. A subtree whose least in_use is too
+  // high holds no fit, which ends the path early.
+  const std::int64_t limit = total_ - request;
+  const auto fits = [limit](const rbtree::RbNode* n) {
+    return n != nullptr &&
+           static_cast<const ScheduledPoint*>(n)->subtree_min_in_use <= limit;
+  };
+  const ScheduledPoint* anchor = nullptr;
+  for (const rbtree::RbNode* n = sp_tree_.root(); fits(n);) {
+    const auto* p = static_cast<const ScheduledPoint*>(n);
+    if (p->at <= t) {
+      n = n->right;
+      continue;
+    }
+    if (p->in_use <= limit || fits(n->right)) anchor = p;
+    n = n->left;
+  }
+  if (anchor == nullptr || anchor->in_use <= limit) return anchor;
+  // The fit is in the anchor's right subtree: find its earliest fit.
+  for (const rbtree::RbNode* n = anchor->right; n != nullptr;) {
+    const auto* p = static_cast<const ScheduledPoint*>(n);
+    if (fits(n->left)) {
+      n = n->left;
+    } else if (p->in_use <= limit) {
+      return p;
     } else {
-      n = static_cast<EtNode*>(n->right);
+      n = n->right;
     }
   }
-  if (anchor == nullptr) return nullptr;
-  if (anchor->point->at == earliest) return anchor;
-  // The minimum lives in the anchor's right subtree; walk it down.
-  for (EtNode* n = static_cast<EtNode*>(anchor->right); n != nullptr;) {
-    auto* l = static_cast<EtNode*>(n->left);
-    if (l != nullptr && l->subtree_min_time == earliest) {
-      n = l;
-    } else if (n->point->at == earliest) {
-      return n;
-    } else {
-      n = static_cast<EtNode*>(n->right);
-    }
-  }
-  // Unreachable if the augmented subtree_min_time fields are coherent;
-  // returning nullptr makes callers treat the tree as "no candidate" and
-  // fail the query instead of crashing (or worse, continuing) on a
-  // corrupted index.
-  return nullptr;
+  return nullptr;  // unreachable while the subtree minima are exact
 }
 
-util::Expected<TimePoint> Planner::avail_time_first(TimePoint on_or_after,
-                                                    Duration duration,
-                                                    std::int64_t request) {
+util::Expected<TimePoint> Planner::avail_time_first(
+    TimePoint on_or_after, Duration duration, std::int64_t request) const {
   if (obs::enabled()) obs::monitor().planner_avail_time_first.inc();
   if (duration <= 0 || request < 0) {
     return util::Error{Errc::invalid_argument,
@@ -262,66 +247,12 @@ util::Expected<TimePoint> Planner::avail_time_first(TimePoint on_or_after,
   // floor state changes.
   if (avail_during(on_or_after, duration, request)) return on_or_after;
 
-  // Iterate satisfying points in increasing time order by repeatedly
-  // taking the ET minimum and setting rejected candidates aside (as
-  // flux-sched's planner does), then restoring them. The restore is a
-  // scope guard: whatever ends the probe loop — feasible start, horizon
-  // break, a corrupted-index nullptr from find_earliest_at, or an
-  // exception out of span_ok — every rejected node goes back into the
-  // tree, keeping the subtree_min_time index coherent.
-  struct EtRestorer {
-    EtTree& tree;
-    std::vector<EtNode*> rejected;
-    ~EtRestorer() {
-      for (EtNode* e : rejected) tree.insert(e);
-    }
-  } guard{et_tree_, {}};
-  util::Expected<TimePoint> result =
-      util::Error{Errc::resource_busy,
-                  "avail_time_first: no feasible start within horizon"};
-  while (EtNode* e = find_earliest_at(request)) {
+  // Visit the points past on_or_after with `request` units free, in time
+  // order, and accept the first whose whole window passes span_ok.
+  for (const ScheduledPoint* pt = first_fit_after(on_or_after, request);
+       pt != nullptr; pt = first_fit_after(pt->at, request)) {
     if (obs::enabled()) obs::monitor().planner_atf_probes.inc();
-    ScheduledPoint* pt = e->point;
     if (pt->at + duration > plan_end()) break;  // later candidates only worsen
-    if (pt->at > on_or_after && span_ok(pt, duration, request)) {
-      result = pt->at;
-      break;
-    }
-    et_tree_.erase(e);
-    guard.rejected.push_back(e);
-  }
-  return result;
-}
-
-util::Expected<TimePoint> Planner::avail_time_first_ro(
-    TimePoint on_or_after, Duration duration, std::int64_t request) const {
-  if (obs::enabled()) obs::monitor().planner_avail_time_first.inc();
-  if (duration <= 0 || request < 0) {
-    return util::Error{Errc::invalid_argument,
-                       "avail_time_first: bad duration or request"};
-  }
-  if (request > total_) {
-    return util::Error{Errc::unsatisfiable,
-                       "avail_time_first: request exceeds pool total"};
-  }
-  on_or_after = std::max(on_or_after, base_);
-  if (on_or_after + duration > plan_end()) {
-    return util::Error{Errc::resource_busy,
-                       "avail_time_first: window leaves the horizon"};
-  }
-  if (avail_during(on_or_after, duration, request)) return on_or_after;
-
-  // Same candidate set as avail_time_first — feasibility can begin only
-  // at a scheduled point past on_or_after — but visited by walking the SP
-  // tree in time order, which needs no set-aside mutation of the ET tree.
-  // Both versions accept the first (earliest) candidate with a span_ok
-  // window, so the results are identical.
-  for (const ScheduledPoint* pt = floor_point(on_or_after); pt != nullptr;
-       pt = SpTree::next(pt)) {
-    if (pt->at <= on_or_after) continue;
-    if (pt->remaining < request) continue;
-    if (obs::enabled()) obs::monitor().planner_atf_probes.inc();
-    if (pt->at + duration > plan_end()) break;
     if (span_ok(pt, duration, request)) return pt->at;
   }
   return util::Error{Errc::resource_busy,
@@ -338,16 +269,7 @@ util::Status Planner::resize_total(std::int64_t new_total) {
                          "resize_total: existing spans exceed new total"};
     }
   }
-  // Every point's remaining is re-keyed; rebuild the ET tree.
-  std::vector<EtNode*> nodes;
-  nodes.reserve(points_.size());
-  for (const auto& [t, p] : points_) nodes.push_back(&p->et);
-  for (EtNode* n : nodes) et_tree_.erase(n);
   total_ = new_total;
-  for (EtNode* n : nodes) {
-    n->point->remaining = total_ - n->point->in_use;
-    et_tree_.insert(n);
-  }
   return util::Status::ok();
 }
 
@@ -358,14 +280,12 @@ const Span* Planner::find_span(SpanId id) const {
 
 bool Planner::validate() const {
   if (sp_tree_.size() != points_.size()) return false;
-  if (et_tree_.size() != points_.size()) return false;
-  if (sp_tree_.validate() < 0 || et_tree_.validate() < 0) return false;
+  if (sp_tree_.validate() < 0) return false;
 
   const ScheduledPoint* prev = nullptr;
   for (const ScheduledPoint* p = sp_tree_.min(); p != nullptr;
        p = SpTree::next(p)) {
-    if (p->in_use < 0 || p->remaining != total_ - p->in_use) return false;
-    if (p->et.point != p) return false;
+    if (p->in_use < 0 || p->in_use > total_) return false;
     if (prev != nullptr) {
       if (prev->at >= p->at) return false;
       // A point must mark a change or anchor a span endpoint.
@@ -374,23 +294,20 @@ bool Planner::validate() const {
     prev = p;
   }
 
-  // Augmented minima must be exact.
+  // Subtree minima must be exact: recompute them bottom-up by brute force.
   struct Rec {
-    static TimePoint min_of(const EtNode* n) {
-      if (n == nullptr) return util::kMaxTime;
-      TimePoint m = n->point->at;
-      m = std::min(m, min_of(static_cast<const EtNode*>(n->left)));
-      m = std::min(m, min_of(static_cast<const EtNode*>(n->right)));
+    bool exact = true;
+    std::int64_t min_of(const rbtree::RbNode* n) {
+      if (n == nullptr) return INT64_MAX;
+      const auto* p = static_cast<const ScheduledPoint*>(n);
+      const std::int64_t m =
+          std::min({p->in_use, min_of(n->left), min_of(n->right)});
+      if (m != p->subtree_min_in_use) exact = false;
       return m;
     }
-    static bool check(const EtNode* n) {
-      if (n == nullptr) return true;
-      if (n->subtree_min_time != min_of(n)) return false;
-      return check(static_cast<const EtNode*>(n->left)) &&
-             check(static_cast<const EtNode*>(n->right));
-    }
-  };
-  if (!Rec::check(et_tree_.root())) return false;
+  } rec;
+  rec.min_of(sp_tree_.root());
+  if (!rec.exact) return false;
 
   for (const auto& [id, span] : spans_) {
     if (span.start_point->at != span.start) return false;

@@ -105,9 +105,8 @@ bool PlannerMulti::avail_during(TimePoint at, Duration duration,
   return true;
 }
 
-util::Expected<TimePoint> PlannerMulti::avail_time_first(TimePoint on_or_after,
-                                                         Duration duration,
-                                                         Counts counts) {
+util::Expected<TimePoint> PlannerMulti::avail_time_first(
+    TimePoint on_or_after, Duration duration, Counts counts) const {
   if (obs::enabled()) obs::monitor().multi_avail_time_first.inc();
   if (counts.size() != planners_.size()) {
     return util::Error{Errc::invalid_argument,
@@ -147,51 +146,6 @@ util::Expected<TimePoint> PlannerMulti::avail_time_first(TimePoint on_or_after,
       if (planners_[i]->avail_during(t, duration, counts[i])) continue;
       all_ok = false;
       auto ti = planners_[i]->avail_time_first(t, duration, counts[i]);
-      if (!ti) return ti.error();
-      advance = std::max(advance, *ti);
-    }
-    if (all_ok) return t;
-    t = advance > t ? advance : t + 1;
-  }
-}
-
-util::Expected<TimePoint> PlannerMulti::avail_time_first_ro(
-    TimePoint on_or_after, Duration duration, Counts counts) const {
-  if (obs::enabled()) obs::monitor().multi_avail_time_first.inc();
-  if (counts.size() != planners_.size()) {
-    return util::Error{Errc::invalid_argument,
-                       "avail_time_first: counts arity mismatch"};
-  }
-  std::size_t anchor = counts.size();
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] > 0) {
-      anchor = i;
-      break;
-    }
-  }
-  if (anchor == counts.size()) {
-    const TimePoint t = std::max(on_or_after, base_);
-    if (duration <= 0 || t + duration > plan_end()) {
-      return util::Error{Errc::resource_busy,
-                         "avail_time_first: window leaves the horizon"};
-    }
-    return t;
-  }
-
-  TimePoint t = std::max(on_or_after, base_);
-  while (true) {
-    if (obs::enabled()) obs::monitor().multi_atf_rounds.inc();
-    auto first = planners_[anchor]->avail_time_first_ro(t, duration,
-                                                        counts[anchor]);
-    if (!first) return first.error();
-    t = *first;
-    TimePoint advance = t;
-    bool all_ok = true;
-    for (std::size_t i = 0; i < planners_.size(); ++i) {
-      if (i == anchor || counts[i] == 0) continue;
-      if (planners_[i]->avail_during(t, duration, counts[i])) continue;
-      all_ok = false;
-      auto ti = planners_[i]->avail_time_first_ro(t, duration, counts[i]);
       if (!ti) return ti.error();
       advance = std::max(advance, *ti);
     }

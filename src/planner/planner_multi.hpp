@@ -82,14 +82,7 @@ class PlannerMulti {
   /// not horizon length.
   util::Expected<TimePoint> avail_time_first(TimePoint on_or_after,
                                              Duration duration,
-                                             Counts counts);
-
-  /// Read-only avail_time_first for const probes: same cross-type
-  /// anchor loop, but delegating to Planner::avail_time_first_ro so no
-  /// planner state is touched. Results identical to avail_time_first.
-  util::Expected<TimePoint> avail_time_first_ro(TimePoint on_or_after,
-                                                Duration duration,
-                                                Counts counts) const;
+                                             Counts counts) const;
 
   std::size_t span_count() const noexcept { return spans_.size(); }
 

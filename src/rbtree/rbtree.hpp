@@ -1,20 +1,22 @@
 // Intrusive red-black tree with optional subtree augmentation.
 //
-// This is the substrate for Planner's two indexes (paper §4.1):
-//   * the scheduled-point (SP) tree, keyed by time, and
-//   * the earliest-time (ET) tree, keyed by remaining resources and
-//     augmented with the minimum scheduled time of each subtree, which
-//     enables the paper's Algorithm 1 (FINDEARLIESTAT).
+// This is the substrate for Planner's one index (paper §4.1): the
+// scheduled-point tree, keyed by time and augmented with the minimum
+// in-use amount of each subtree, so that earliest-fit is one pruned
+// descent (docs/planner.md).
 //
 // The tree is intrusive: elements embed RbNode by inheritance, the tree
-// never allocates. Duplicate keys are allowed (ET tree needs them — many
-// scheduled points can share a "remaining" value).
+// never allocates. Duplicate keys are allowed (a new equal key goes
+// after the existing ones).
 //
 // Augmentation: if Traits defines `static void update(Node&)`, the tree
 // invokes it to recompute a node's augmented data from its children after
 // every structural change, bottom-up, so subtree summaries (e.g. minimum
-// time) stay exact. CLRS-style insert/erase with local fixups at rotations
-// plus a final leaf-to-root propagation pass keeps this O(log n).
+// in-use amount) stay exact. CLRS-style insert/erase with local fixups at
+// rotations plus a final leaf-to-root propagation pass keeps this
+// O(log n). A node whose augmented source changes in place (its key
+// unchanged) is fixed with refresh(), which needs an `update` that
+// returns whether the summary changed.
 #pragma once
 
 #include <cassert>
@@ -212,16 +214,15 @@ class RbTree {
     return nullptr;
   }
 
-  /// Re-establish augmented data from `from` up to the root. Public so
-  /// containers can fix summaries after mutating a node's augmented source
-  /// data in place (key changes still require erase + insert).
-  void propagate(RbNode* from) noexcept {
-    if constexpr (Augmented<Traits, Node>) {
-      for (RbNode* p = from; p != nullptr; p = p->parent) {
-        Traits::update(*down(p));
-      }
-    } else {
-      (void)from;
+  /// Re-run `update` from `n` towards the root after n's augmented source
+  /// data changed in place (key changes still require erase + insert).
+  /// Stops at the first node whose summary comes out unchanged: nothing
+  /// above it saw a changed input.
+  static void refresh(Node* n) noexcept {
+    static_assert(std::is_same_v<decltype(Traits::update(*n)), bool>,
+                  "refresh needs an update that reports a change");
+    for (RbNode* p = n; p != nullptr && Traits::update(*down(p));
+         p = p->parent) {
     }
   }
 
@@ -237,6 +238,17 @@ class RbTree {
   static Node* down(RbNode* n) noexcept { return static_cast<Node*>(n); }
   static const Node* down(const RbNode* n) noexcept {
     return static_cast<const Node*>(n);
+  }
+
+  /// Re-establish augmented data from `from` up to the root.
+  void propagate(RbNode* from) noexcept {
+    if constexpr (Augmented<Traits, Node>) {
+      for (RbNode* p = from; p != nullptr; p = p->parent) {
+        Traits::update(*down(p));
+      }
+    } else {
+      (void)from;
+    }
   }
 
   static RbNode* minimum(RbNode* x) noexcept {

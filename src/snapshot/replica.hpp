@@ -5,8 +5,9 @@
 // commits mutations while N replicas — each rebuilt from the latest
 // snapshot — absorb the read traffic: satisfiability checks,
 // earliest-start (`avail_*`) probes, and the explain surface. A replica
-// only ever drives the traverser's const probe() path (which itself uses
-// only avail_time_first_ro and friends), so it never mutates its engine.
+// only ever drives the traverser's const probe() path (whose planner
+// queries, avail_time_first included, are all const), so it never mutates
+// its engine.
 //
 // Staleness: every replica is stamped with the writer's mutation_epoch at
 // snapshot time. A caller that knows the writer's current epoch can ask

@@ -1180,10 +1180,9 @@ util::Expected<TimePoint> Traverser::next_candidate_time(
     const std::vector<std::int64_t>& root_counts) const {
   // Fast-forward with the root pruning filter when available: the earliest
   // time the *aggregate* demand fits is a lower bound for a full match.
-  // The _ro variant keeps this callable from the const probe path.
   if (root_counts.empty()) return after;
-  return g_.vertex(root_).filter->avail_time_first_ro(after, duration,
-                                                      root_counts);
+  return g_.vertex(root_).filter->avail_time_first(after, duration,
+                                                   root_counts);
 }
 
 Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,

@@ -181,14 +181,11 @@ TEST(Planner, AvailTimeFirstNoRoomWithinHorizon) {
   EXPECT_EQ(r.error().code, Errc::resource_busy);
 }
 
-// The probe loop removes candidate EtNodes while scanning and must put
-// every rejected one back on ALL exit paths — a failed search included.
-// Regression for the restore running only after the loop on the success
-// path: here every instantaneously-feasible point fails the duration
-// check, the search ends in resource_busy, and the subtree_min_time
-// index must still be coherent (validate) and still surface the
-// rejected points to later queries and mutations.
-TEST(Planner, FailedAvailTimeFirstRestoresRejectedNodes) {
+// A failed search followed by a re-query: every instantaneously-feasible
+// point fails the duration check, the search ends in resource_busy, and
+// the planner must still be intact (validate) and answer later queries
+// and mutations from the same points.
+TEST(Planner, FailedAvailTimeFirstThenRequery) {
   Planner p(0, 100, 8, "core");
   ASSERT_TRUE(p.add_span(0, 10, 8));   // nothing free up front
   ASSERT_TRUE(p.add_span(15, 5, 5));   // free: [10,15)=8, [15,20)=3,
@@ -196,13 +193,13 @@ TEST(Planner, FailedAvailTimeFirstRestoresRejectedNodes) {
   ASSERT_TRUE(p.add_span(35, 65, 5));  //       [30,35)=8, [35,100)=3
   // 4-for-30 probes t=10, t=20, t=30 — each has >= 4 free at the instant
   // but hits a 3-free stretch inside the window — then runs out of
-  // horizon: three rejected nodes for the scope guard to restore.
+  // horizon.
   auto r = p.avail_time_first(0, 30, 4);
   ASSERT_FALSE(r);
   EXPECT_EQ(r.error().code, Errc::resource_busy);
-  EXPECT_TRUE(p.validate()) << "rejected probes must be re-inserted";
-  // The first rejected point answers again: if t=10 had stayed out of
-  // the tree this would return 20.
+  EXPECT_TRUE(p.validate());
+  // The first probed point answers again: a search that lost t=10 would
+  // return 20.
   EXPECT_EQ(*p.avail_time_first(0, 5, 8), 10);
   ASSERT_TRUE(p.add_span(10, 5, 8));
   EXPECT_EQ(*p.avail_time_first(0, 5, 8), 20);

@@ -30,7 +30,8 @@ int cmp_key(int probe, const IntNode& n) {
 }
 
 // Augmented node: subtree minimum of an auxiliary value, mirroring the
-// planner's ET tree shape (key != augmented source).
+// planner's time tree (key `at`, summary the least `in_use`): the key is
+// not the augmented source, so the source can change in place.
 struct AugNode : RbNode {
   AugNode(int k, int a) : key(k), aux(a) {}
   int key;
@@ -39,10 +40,9 @@ struct AugNode : RbNode {
 };
 struct AugTraits {
   static bool less(const AugNode& a, const AugNode& b) noexcept {
-    if (a.key != b.key) return a.key < b.key;
-    return a.aux < b.aux;
+    return a.key < b.key;
   }
-  static void update(AugNode& n) noexcept {
+  static bool update(AugNode& n) noexcept {
     int m = n.aux;
     if (auto* l = static_cast<AugNode*>(n.left)) {
       m = std::min(m, l->subtree_min_aux);
@@ -50,7 +50,9 @@ struct AugTraits {
     if (auto* r = static_cast<AugNode*>(n.right)) {
       m = std::min(m, r->subtree_min_aux);
     }
+    const bool changed = m != n.subtree_min_aux;
     n.subtree_min_aux = m;
+    return changed;
   }
 };
 using AugTree = RbTree<AugNode, AugTraits>;
@@ -224,7 +226,7 @@ TEST(RbTreeProperty, AugmentationStaysExactUnderChurn) {
 }
 
 TEST(RbTreeProperty, AugmentationExactAfterRekeying) {
-  // The planner re-keys ET nodes by erase + mutate + insert; simulate that.
+  // A key change is erase + mutate + insert; the summaries must follow.
   util::Rng rng(7);
   AugTree t;
   std::vector<std::unique_ptr<AugNode>> pool;
@@ -244,6 +246,45 @@ TEST(RbTreeProperty, AugmentationExactAfterRekeying) {
       ASSERT_TRUE(aug_exact(t.root()));
     }
   }
+}
+
+TEST(RbTreeProperty, AugmentationExactAfterInPlaceRefresh) {
+  // The planner rewrites a point's in_use without moving it and calls
+  // refresh, which stops climbing at the first unchanged summary; the
+  // summaries must stay exact, including under churn between rewrites.
+  util::Rng rng(99);
+  AugTree t;
+  std::vector<std::unique_ptr<AugNode>> pool;
+  std::vector<AugNode*> live;
+  for (int i = 0; i < 400; ++i) {
+    pool.push_back(std::make_unique<AugNode>(
+        i, static_cast<int>(rng.uniform(0, 1000))));
+    t.insert(pool.back().get());
+    live.push_back(pool.back().get());
+  }
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.chance(0.9)) {
+      AugNode* n = live[rng.index(live.size())];
+      n->aux = static_cast<int>(rng.uniform(0, 1000));
+      AugTree::refresh(n);
+    } else if (rng.chance(0.5) || live.size() < 2) {
+      pool.push_back(std::make_unique<AugNode>(
+          static_cast<int>(rng.uniform(0, 400)),
+          static_cast<int>(rng.uniform(0, 1000))));
+      t.insert(pool.back().get());
+      live.push_back(pool.back().get());
+    } else {
+      const auto i = rng.index(live.size());
+      t.erase(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    if (step % 37 == 0) {
+      ASSERT_GE(t.validate(), 0) << "step " << step;
+      ASSERT_TRUE(aug_exact(t.root())) << "step " << step;
+    }
+  }
+  ASSERT_TRUE(aug_exact(t.root()));
 }
 
 TEST(RbTree, FloorLowerBoundWithDuplicates) {
