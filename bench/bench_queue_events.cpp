@@ -5,10 +5,12 @@
 // identical systems and traces, and reports the match-attempt and
 // event-dispatch counters. The interesting numbers are ratios, not
 // wall-clock: `match_ratio` (cache-off matches / cache-on matches) is the
-// wasted-retry work the cache eliminates, and `pops_per_event` (event-heap
-// pops / events fired) is the dispatch overhead of the lazy-deletion heap
-// (1.0 = no stale entries; the pre-heap implementation rescanned every job
-// per event, i.e. O(jobs) "pops").
+// wasted-retry work the cache eliminates (`match_dominated` counts the
+// skips a larger or longer request took from a smaller failure), and
+// `pops_per_event` (event-heap pops / events fired) is the dispatch
+// overhead of the lazy-deletion heap (1.0 = no stale entries; the
+// pre-heap implementation rescanned every job per event, i.e. O(jobs)
+// "pops").
 //
 // The two runs must place every job identically — the cache only skips
 // matches that are guaranteed to fail — and this is checked here job by
@@ -89,14 +91,16 @@ bool run_once(int racks, const std::vector<sim::TraceJob>& trace,
 
 void stats_json(std::string& out, const RunResult& r) {
   const auto& s = r.stats;
-  char buf[256];
+  char buf[512];
   std::snprintf(buf, sizeof buf,
                 "{\"match_calls\":%llu,\"match_skipped\":%llu,"
+                "\"match_dominated\":%llu,"
                 "\"cache_invalidations\":%llu,\"events_fired\":%llu,"
                 "\"heap_pops\":%llu,\"visits\":%llu,"
                 "\"first_match_stops\":%llu,\"seconds\":%.3f}",
                 static_cast<unsigned long long>(s.match_calls),
                 static_cast<unsigned long long>(s.match_skipped),
+                static_cast<unsigned long long>(s.match_dominated),
                 static_cast<unsigned long long>(s.cache_invalidations),
                 static_cast<unsigned long long>(s.events_fired),
                 static_cast<unsigned long long>(s.heap_pops),
@@ -149,13 +153,15 @@ int main() {
     return 1;
   }
 
-  std::printf("%-12s %12s %12s %12s %12s %14s %10s\n", "run", "matches",
-              "skipped", "events", "heap-pops", "trav-visits", "time[s]");
+  std::printf("%-12s %12s %12s %12s %12s %12s %14s %10s\n", "run",
+              "matches", "skipped", "dominated", "events", "heap-pops",
+              "trav-visits", "time[s]");
   for (const auto* r : {&off, &on, &fm}) {
-    std::printf("%-12s %12llu %12llu %12llu %12llu %14llu %10.3f\n",
+    std::printf("%-12s %12llu %12llu %12llu %12llu %12llu %14llu %10.3f\n",
                 r == &off ? "cache-off" : r == &on ? "cache-on" : "first-match",
                 static_cast<unsigned long long>(r->stats.match_calls),
                 static_cast<unsigned long long>(r->stats.match_skipped),
+                static_cast<unsigned long long>(r->stats.match_dominated),
                 static_cast<unsigned long long>(r->stats.events_fired),
                 static_cast<unsigned long long>(r->stats.heap_pops),
                 static_cast<unsigned long long>(r->visits), r->seconds);

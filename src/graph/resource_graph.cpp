@@ -85,7 +85,7 @@ util::Status ResourceGraph::add_edge(VertexId src, VertexId dst,
   }
   out_[src].push_back(Edge{dst, subsystem, relation});
   ++edge_count_;
-  if (relation == contains_) ++vertices_[dst].contains_in;
+  if (relation == contains_) add_contains_in(dst);
   return util::Status::ok();
 }
 
@@ -384,7 +384,7 @@ util::Status ResourceGraph::detach_subtree(VertexId v) {
     auto& edges = out_[parent];
     edge_count_ -= std::erase_if(edges, [&](const Edge& e) {
       if (e.dst != v || e.subsystem != containment_) return false;
-      if (e.relation == contains_) --vertices_[v].contains_in;
+      if (e.relation == contains_) drop_contains_in(v);
       return true;
     });
     bump_ancestor_non_up(
@@ -410,10 +410,18 @@ bool ResourceGraph::in_use(VertexId u) const {
 
 void ResourceGraph::clear_out_edges(VertexId u) {
   for (const Edge& e : out_[u]) {
-    if (e.relation == contains_) --vertices_[e.dst].contains_in;
+    if (e.relation == contains_) drop_contains_in(e.dst);
   }
   edge_count_ -= out_[u].size();
   out_[u].clear();
+}
+
+void ResourceGraph::add_contains_in(VertexId v) {
+  if (++vertices_[v].contains_in == 2) ++multi_parent_;
+}
+
+void ResourceGraph::drop_contains_in(VertexId v) {
+  if (vertices_[v].contains_in-- == 2) --multi_parent_;
 }
 
 void ResourceGraph::discard_detached_from(VertexId mark) {

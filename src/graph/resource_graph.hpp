@@ -207,6 +207,10 @@ class ResourceGraph {
   std::size_t vertex_count() const noexcept { return vertices_.size(); }
   std::size_t live_vertex_count() const noexcept { return live_count_; }
   std::size_t edge_count() const noexcept { return edge_count_; }
+  /// Vertices with more than one incoming `contains` edge (Vertex::
+  /// contains_in > 1). Zero means the containment edges form a forest, so
+  /// a walk reaches each vertex along one path only.
+  std::size_t multi_parent_count() const noexcept { return multi_parent_; }
 
   Vertex& vertex(VertexId v) { return vertices_[v]; }
   const Vertex& vertex(VertexId v) const { return vertices_[v]; }
@@ -254,6 +258,9 @@ class ResourceGraph {
   bool in_use(VertexId u) const;
   /// Drop u's out-edges, releasing their `contains` in-degree.
   void clear_out_edges(VertexId u);
+  /// Count one more / one fewer incoming `contains` edge on v.
+  void add_contains_in(VertexId v);
+  void drop_contains_in(VertexId v);
   std::size_t reset_uniform_non_up(VertexId v, ResourceStatus s);
 
   TimePoint plan_start_;
@@ -271,6 +278,7 @@ class ResourceGraph {
   std::vector<InternId> subsystem_filter_;
   std::size_t live_count_ = 0;
   std::size_t edge_count_ = 0;
+  std::size_t multi_parent_ = 0;
   std::size_t status_counts_[kStatusCount] = {0, 0, 0};
   std::int64_t next_uniq_id_ = 0;
 };

@@ -106,6 +106,8 @@ const Row kCatalogue[] = {
     {"queue", "jobs_scanned", "queue_jobs_scanned", "jobs-scanned", kSourced},
     {"queue", "match_skipped", "queue_match_skipped", "match-skipped",
      kSourced},
+    {"queue", "match_dominated", "queue_match_dominated", "match-dominated",
+     kSourced},
     {"queue", "cache_invalidations", "queue_cache_invalidations",
      "cache-invalidations", kSourced},
     {"queue", "reservations_made", "queue_reservations_made",

@@ -91,6 +91,27 @@ void sig_resource(const jobspec::Resource& r, std::string& out) {
   }
 }
 
+// The slot of a dominance-eligible request: one top-level slot of fixed
+// count N holding one instance of one resource whose children are leaves
+// of fixed counts, e.g. slot(N){node{core[c]}}. Both traversal visitors
+// claim N such units whenever N qualify, and a unit that qualifies over a
+// window qualifies over every shorter one, so a resource_busy failure of
+// (N, d) implies one for every (N' >= N, d' >= d) at the same anchor.
+// Nested shapes fail under a greedy choice and are never eligible.
+const jobspec::Resource* dominable_slot(const jobspec::Jobspec& js) {
+  if (js.resources.size() != 1) return nullptr;
+  const jobspec::Resource& slot = js.resources.front();
+  if (!slot.is_slot() || slot.count_max > slot.count || slot.with.size() != 1) {
+    return nullptr;
+  }
+  const jobspec::Resource& unit = slot.with.front();
+  if (unit.count != 1 || unit.count_max > unit.count) return nullptr;
+  for (const jobspec::Resource& leaf : unit.with) {
+    if (!leaf.with.empty() || leaf.count_max > leaf.count) return nullptr;
+  }
+  return &slot;
+}
+
 }  // namespace
 
 std::string spec_signature(const jobspec::Jobspec& js) {
@@ -129,6 +150,7 @@ JobQueue::JobQueue(traverser::Traverser& traverser, QueuePolicy policy)
                    {"queue.events_fired", &stats_.events_fired},
                    {"queue.jobs_scanned", &stats_.heap_pops},
                    {"queue.match_skipped", &stats_.match_skipped},
+                   {"queue.match_dominated", &stats_.match_dominated},
                    {"queue.cache_invalidations", &stats_.cache_invalidations},
                    {"queue.reservations_made", &stats_.reservations_made},
                    {"queue.reservations_dropped",
@@ -214,8 +236,18 @@ void JobQueue::invalidate_match_cache() {
   ++stats_.cache_invalidations;
 }
 
-std::string JobQueue::cache_key(Job& job, bool allow_reserve,
-                                TimePoint anchor) {
+std::size_t JobQueue::CacheKeyHash::operator()(
+    const CacheKey& k) const noexcept {
+  std::uint64_t h = static_cast<std::uint64_t>(k.anchor);
+  h = h * 0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(k.shape);
+  h = h * 0x9E3779B97F4A7C15ull ^
+      (k.depth << 3 | static_cast<std::uint64_t>(k.reserve) << 2 |
+       static_cast<std::uint64_t>(k.mode));
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+JobQueue::CacheKey JobQueue::cache_key(Job& job, bool allow_reserve,
+                                       TimePoint anchor) {
   // The cache is valid for exactly one traverser mutation epoch: any
   // committed change (placement, completion, grow/shrink, status flip,
   // SDFU update) can flip a previously-failed match to success — the
@@ -226,24 +258,76 @@ std::string JobQueue::cache_key(Job& job, bool allow_reserve,
     cache_epoch_ = epoch;
     invalidate_match_cache();
   }
-  if (job.match_sig.empty()) job.match_sig = spec_signature(job.spec);
-  std::string key = job.match_sig;
-  key += allow_reserve ? "|R|" : "|A|";
-  key += std::to_string(anchor);
-  // Everything else that shapes a match outcome must be part of the key:
-  // the match policy and traversal mode change which selections are even
-  // attempted, and the reservation depth changes which op the scheduling
-  // pass asks for. A verdict recorded under one configuration must never
-  // be replayed under another — a jobspec first-match cannot place may
-  // still be placeable by the scored walk (and vice versa after a policy
-  // swap), even within one mutation epoch.
-  key += '|';
-  key += traverser_.policy().name();
-  key += '|';
-  key += traverser::traversal_mode_name(traversal_mode_);
-  key += '|';
-  key += std::to_string(reservation_depth_);
-  return key;
+  Job::CacheShape& s = job.cache_shape;
+  if (s.id < 0) {
+    // A dominable shape is its unit (the matcher reads nothing else of the
+    // slot but N); N and the duration are kept beside the id. Any other
+    // shape is its full signature, so a hit is an exact match. The '*'
+    // prefix keeps the two apart: a signature starts with a type name or
+    // '/'.
+    std::string sig;
+    if (const jobspec::Resource* slot = dominable_slot(job.spec)) {
+      s.dominable = true;
+      s.n = slot->count;
+      s.d = job.spec.duration;
+      sig = "*";
+      sig_resource(slot->with.front(), sig);
+    } else {
+      sig = spec_signature(job.spec);
+    }
+    s.id = shapes_.try_emplace(std::move(sig),
+                               static_cast<std::int32_t>(shapes_.size()))
+               .first->second;
+  }
+  // Everything else that shapes a match outcome is part of the key: the
+  // traversal mode changes which selections are attempted, and the
+  // reservation depth which op the pass asks for. A verdict recorded
+  // under one configuration must never answer another — a jobspec
+  // first-match cannot place may still be placeable by the scored walk
+  // (and vice versa), even within one mutation epoch.
+  return CacheKey{s.id, allow_reserve, traversal_mode_, anchor,
+                  reservation_depth_};
+}
+
+const JobQueue::BlockedVerdict* JobQueue::find_verdict(const Job& job,
+                                                       const CacheKey& key,
+                                                       bool& dominated) const {
+  dominated = false;
+  const auto it = blocked_.find(key);
+  if (it == blocked_.end()) return nullptr;
+  const Job::CacheShape& s = job.cache_shape;
+  for (const BlockedVerdict& v : it->second) {
+    if (v.n == s.n && v.d == s.d) return &v;
+  }
+  // Dominance needs: a plain allocate (a reserve searches later starts);
+  // introspection off, so the walk's attribution would be the bare code
+  // that render_blocked gives (the eventlog forces it on); a window inside
+  // the horizon, or the walk fails out_of_range instead; and containment
+  // edges that form a forest, so no leaf is shared between two units.
+  const graph::ResourceGraph& g = traverser_.graph();
+  if (!s.dominable || key.reserve || traverser_.introspection() ||
+      key.anchor + s.d > g.plan_start() + g.horizon() ||
+      g.multi_parent_count() != 0) {
+    return nullptr;
+  }
+  for (const BlockedVerdict& v : it->second) {
+    if (v.code == Errc::resource_busy && v.n <= s.n && v.d <= s.d) {
+      dominated = true;
+      return &v;
+    }
+  }
+  return nullptr;
+}
+
+void JobQueue::audit_dominated(const Job& job, TimePoint anchor) const {
+  traverser::MatchScratch scratch;
+  const traverser::Traverser::Probe p = traverser_.probe(
+      job.spec, MatchOp::allocate, anchor, job.id, scratch, traversal_mode_);
+  if (!p.ok && p.error.code == Errc::resource_busy) return;
+  (void)util::internal_error(
+      "queue: job " + std::to_string(job.id) +
+      " skipped as dominated, but its walk " +
+      (p.ok ? std::string("succeeds") : util::errc_name(p.error.code)));
 }
 
 void JobQueue::test_rewind_reservation(JobId id, TimePoint start) {
@@ -429,26 +513,36 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
   }
   const char* op_label = allow_reserve ? "allocate_orelse_reserve" : "allocate";
   // Satisfiability cache: an identical request (spec + op + anchor) that
-  // already failed since the last mutation will fail identically — skip
-  // the traversal and replay the recorded outcome (including its rendered
-  // attribution, so the eventlog reads the same either way). Failed
-  // matches are side-effect-free, so skipping one cannot change later
-  // placements.
-  std::string key;
+  // already failed since the last mutation will fail identically, and so
+  // will a dominable allocate asking for more units or a longer window —
+  // skip the traversal and replay the recorded outcome (including its
+  // rendered attribution, so the eventlog reads the same either way).
+  // Failed matches are side-effect-free, so skipping one cannot change
+  // later placements.
+  CacheKey key;
   if (match_cache_enabled_) {
     key = cache_key(job, allow_reserve, anchor);
-    if (auto hit = blocked_.find(key); hit != blocked_.end()) {
+    bool dominated = false;
+    if (const BlockedVerdict* hit = find_verdict(job, key, dominated)) {
       ++stats_.match_skipped;
+      if (dominated) {
+        ++stats_.match_dominated;
+        if (traverser_.audit_enabled()) audit_dominated(job, anchor);
+      }
+      // A dominated skip renders the attribution afresh: introspection is
+      // off, so the walk's would be the bare code as well.
+      std::vector<std::pair<std::string, std::string>> attrib =
+          dominated ? render_blocked(Errc::resource_busy) : hit->attrib;
       if (log_.enabled()) {
         record_event(job.id, "probe",
                      {{"op", obs::event_str(op_label)},
                       {"anchor", std::to_string(anchor)}});
-        record_event(job.id, "blocked", hit->second.attrib);
+        record_event(job.id, "blocked", attrib);
       }
-      job.last_blocked = hit->second.attrib;
+      job.last_blocked = std::move(attrib);
       job.last_blocked_time = now_;
-      if (hit->second.code != Errc::resource_busy) {
-        reject_job(job, util::errc_name(hit->second.code));
+      if (hit->code != Errc::resource_busy) {
+        reject_job(job, util::errc_name(hit->code));
       } else {
         mark_wait(job, WaitCause::resources);
       }
@@ -501,7 +595,9 @@ void JobQueue::try_place(Job& job, bool allow_reserve) {
   job.last_blocked_time = now_;
   if (match_cache_enabled_ &&
       (code == Errc::resource_busy || code == Errc::unsatisfiable)) {
-    blocked_.emplace(std::move(key), BlockedVerdict{code, std::move(attrib)});
+    blocked_[key].push_back(BlockedVerdict{code, job.cache_shape.n,
+                                           job.cache_shape.d,
+                                           std::move(attrib)});
   }
   switch (code) {
     case Errc::resource_busy:

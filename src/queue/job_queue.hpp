@@ -134,9 +134,15 @@ struct Job {
   std::vector<traverser::ResourceUnit> resources;
   /// Wall-clock cost of this job's match call(s), for overhead studies.
   double match_seconds = 0.0;
-  /// Lazily-computed canonical signature of (spec, duration) for the
-  /// satisfiability cache; empty until the first cached-path lookup.
-  std::string match_sig;
+  /// The spec as the satisfiability cache sees it; interned on the first
+  /// cached lookup.
+  struct CacheShape {
+    std::int32_t id = -1;    // interned shape; -1 until the first lookup
+    /// slot(N){unit{leaves}}: a failure answers larger, longer requests.
+    bool dominable = false;
+    std::int64_t n = 0;      // slot count N (dominable shapes; else 0)
+    Duration d = 0;          // duration (dominable shapes; else 0)
+  } cache_shape;
   /// Wait-time decomposition: `wait` holds closed intervals; the interval
   /// [wait_since, now) is still open and charged to `wait_cause` at the
   /// next transition (JobQueue::mark_wait).
@@ -181,6 +187,9 @@ struct QueueStats {
   std::uint64_t heap_pops = 0;       // event-heap pops, incl. stale entries
   std::uint64_t match_calls = 0;     // traverser matches actually issued
   std::uint64_t match_skipped = 0;   // matches avoided by the cache
+  /// The skips answered by a dominating failure rather than an identical
+  /// one (a subset of match_skipped). Not carried by snapshots.
+  std::uint64_t match_dominated = 0;
   std::uint64_t cache_invalidations = 0;  // cache drops after a mutation
   // Backfill reservation churn: monotone tallies of reservations granted
   // and of reservations released before their start fired (hold, cancel,
@@ -267,11 +276,12 @@ class JobQueue {
   /// the re-planned job ids.
   std::vector<JobId> replan_reserved();
 
-  /// Toggle the satisfiability cache (default on). The cache only skips
-  /// re-matching jobs whose exact (spec, op, anchor) signature already
-  /// failed since the last graph/traverser mutation, so placements are
-  /// identical either way; turning it off exists for differential tests
-  /// and A/B measurements.
+  /// Toggle the satisfiability cache (default on). The cache skips a
+  /// match that failed identically since the last graph/traverser
+  /// mutation, and a plain allocate of a slot(N){unit{leaves}} request
+  /// that a recorded failure with no more units and no longer walltime
+  /// dominates, so placements are identical either way; turning it off
+  /// exists for differential tests and A/B measurements.
   void set_match_cache(bool on);
   bool match_cache() const noexcept { return match_cache_enabled_; }
 
@@ -282,7 +292,9 @@ class JobQueue {
 
   /// Traversal mode every placement decision runs under. Cached match
   /// failures stay across a switch — the cache key embeds the mode, so
-  /// old-mode verdicts simply stop matching.
+  /// old-mode verdicts simply stop matching. Dominance holds in both
+  /// modes: for a dominable shape each visitor claims N units whenever N
+  /// qualify, so neither fails where the other would succeed.
   void set_traversal_mode(traverser::TraversalMode m) noexcept {
     traversal_mode_ = m;
   }
@@ -440,9 +452,41 @@ class JobQueue {
   std::vector<std::pair<std::string, std::string>> render_blocked(
       util::Errc code) const;
   util::Status fire_events_up_to(TimePoint t);
+
+  /// Satisfiability-cache key: everything besides the slot count and the
+  /// duration that shapes a match outcome. The match policy is left out:
+  /// the traverser binds it at construction.
+  struct CacheKey {
+    std::int32_t shape = -1;
+    bool reserve = false;  // allocate_orelse_reserve, else allocate
+    traverser::TraversalMode mode = traverser::TraversalMode::scored;
+    TimePoint anchor = 0;
+    std::size_t depth = 0;  // reservation depth
+    bool operator==(const CacheKey&) const = default;
+  };
+  struct CacheKeyHash {
+    std::size_t operator()(const CacheKey& k) const noexcept;
+  };
+  /// One recorded failure: its code, the slot count and duration of the
+  /// request, and the rendered attribution an identical replay emits (so a
+  /// cache-hit "blocked" event is byte-identical to the walk's — the
+  /// eventlog differential tests depend on this).
+  struct BlockedVerdict {
+    util::Errc code = util::Errc::internal;
+    std::int64_t n = 0;
+    Duration d = 0;
+    std::vector<std::pair<std::string, std::string>> attrib;
+  };
   /// Clear the cache when the traverser's mutation epoch moved since the
   /// last look; returns the cache key for (job, allow_reserve, anchor).
-  std::string cache_key(Job& job, bool allow_reserve, TimePoint anchor);
+  CacheKey cache_key(Job& job, bool allow_reserve, TimePoint anchor);
+  /// The recorded failure that answers `job` under `key` without a walk:
+  /// an identical one, else (`dominated` set) a dominating one.
+  const BlockedVerdict* find_verdict(const Job& job, const CacheKey& key,
+                                     bool& dominated) const;
+  /// Audit-mode check of a dominated skip: the read-only probe must fail
+  /// with resource_busy, or util::internal_error is raised.
+  void audit_dominated(const Job& job, TimePoint anchor) const;
   /// Insert a job into pending_ in (priority desc, arrival) order.
   void insert_pending(JobId id);
   /// Reset a job to pending and re-insert it in (priority, submission)
@@ -488,18 +532,14 @@ class JobQueue {
   /// shed stale entries while it peeks.
   mutable std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
       events_;
-  /// Satisfiability cache: signature of a match that failed -> the
-  /// verdict, valid for the traverser mutation epoch `cache_epoch_`. The
-  /// verdict carries the *rendered* attribution of the original failure
-  /// so a cache-hit replay emits a byte-identical "blocked" event — the
-  /// eventlog differential tests (cache on vs off) depend on this.
-  struct BlockedVerdict {
-    util::Errc code = util::Errc::internal;
-    std::vector<std::pair<std::string, std::string>> attrib;
-  };
+  /// Satisfiability cache: the failures recorded under each key, valid
+  /// for the traverser mutation epoch `cache_epoch_`.
   bool match_cache_enabled_ = true;
   std::uint64_t cache_epoch_ = 0;
-  std::unordered_map<std::string, BlockedVerdict> blocked_;
+  std::unordered_map<CacheKey, std::vector<BlockedVerdict>, CacheKeyHash>
+      blocked_;
+  /// Shape interner behind CacheShape::id; outlives epochs.
+  std::unordered_map<std::string, std::int32_t> shapes_;
   /// Job-lifecycle eventlog.
   obs::EventLog log_;
   /// stats_ as obs reads it, under label_; last, as its destructor reads.

@@ -369,7 +369,7 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
       }
       g.out_[i].push_back(edge);
       ++edge_count;
-      if (edge.relation == g.contains_) ++g.vertices_[edge.dst].contains_in;
+      if (edge.relation == g.contains_) g.add_contains_in(edge.dst);
     }
   }
   g.edge_count_ = edge_count;

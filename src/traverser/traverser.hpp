@@ -286,11 +286,6 @@ class Traverser {
   /// these fragments.
   std::vector<std::pair<std::string, std::string>> explain_args() const;
 
-  /// The match policy this traverser ranks candidates with (scored mode
-  /// only). Exposed so callers that key caches on match behaviour — the
-  /// queue's satisfiability cache — can fold the policy identity in.
-  const MatchPolicy& policy() const noexcept { return policy_; }
-
   const graph::ResourceGraph& graph() const noexcept { return g_; }
 
   /// Verify all pruning filters against a from-scratch recount of the

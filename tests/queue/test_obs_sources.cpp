@@ -48,6 +48,7 @@ std::vector<std::pair<std::string, std::uint64_t>> queue_tallies(
           {"queue.events_fired", s.events_fired},
           {"queue.jobs_scanned", s.heap_pops},
           {"queue.match_skipped", s.match_skipped},
+          {"queue.match_dominated", s.match_dominated},
           {"queue.cache_invalidations", s.cache_invalidations},
           {"queue.reservations_made", s.reservations_made},
           {"queue.reservations_dropped", s.reservations_dropped}};
@@ -115,11 +116,13 @@ class ObsSources : public ::testing::Test {
 
 TEST_F(ObsSources, TotalsEqualQueueStatsAfterFlatRun) {
   JobQueue q(*trav, QueuePolicy::easy_backfill);
-  // Exercise every tally: immediate starts, reservations, cache skips, a
-  // cache invalidation, an unsatisfiable reject and a dropped reservation.
+  // Exercise every tally: immediate starts, reservations, cache skips (one
+  // dominated), a cache invalidation, an unsatisfiable reject and a
+  // dropped reservation.
   q.submit(whole_nodes(4, 100));                  // fills the machine
   const JobId r1 = q.submit(whole_nodes(2, 50));  // head blocked, reserves
   q.submit(whole_nodes(2, 50));                   // identical spec
+  q.submit(whole_nodes(3, 60));  // larger and longer: dominated by it
   q.submit(whole_nodes(5, 10));                   // 5 > 4 nodes: rejected
   q.schedule();
   q.schedule();  // replays the third job's verdict from the cache

@@ -838,7 +838,9 @@ int main(int argc, char** argv) {
   // Same reasoning for match-failure attribution: `explain` should always
   // have an answer, and the per-rejection branch is noise here.
   (*rq)->traverser().set_introspection(true);
-  Cli cli{std::move(*rq), format};
+  Cli cli;
+  cli.rq = std::move(*rq);
+  cli.format = format;
   cli.dyn = std::make_unique<dynamic::DynamicResources>(
       cli.rq->graph(), cli.rq->traverser());
   std::printf("resource-query: %zu vertices, policy=%s (type 'help')\n",
