@@ -9,6 +9,7 @@
 //   * SatAt      — can <r, 1> be satisfied at a random time t?
 //   * SatDuring  — can <r, d> be satisfied at a random time t?
 //   * EarliestAt — earliest fit for <r, 1>?
+//   * AddRemChurn — claim <1, 1> at a random time t, then release it.
 // r sweeps powers of two from 1 to 128; the span load sweeps 10^2..10^6.
 #include <benchmark/benchmark.h>
 
@@ -130,9 +131,29 @@ void SpanSweep(benchmark::internal::Benchmark* b) {
   }
 }
 
+// Each successful add materialises the span's endpoint points (a point
+// lookup per endpoint) and the remove collects them again, so the loaded
+// planner is left as it was found.
+void BM_AddRemChurn(benchmark::State& state) {
+  const auto& l = loaded_planner(state.range(0));
+  Rng rng(13);
+  std::int64_t added = 0;
+  for (auto _ : state) {
+    const TimePoint t = rng.uniform(0, l.frontier);
+    if (auto id = l.plan->add_span(t, 1, 1)) {
+      benchmark::DoNotOptimize(l.plan->rem_span(*id));
+      ++added;
+    }
+  }
+  state.counters["added"] = benchmark::Counter(
+      static_cast<double>(added), benchmark::Counter::kAvgIterations);
+  state.SetLabel("spans=" + std::to_string(state.range(0)));
+}
+
 BENCHMARK(BM_SatAt)->Apply(SpanSweep);
 BENCHMARK(BM_SatDuring)->Apply(SpanSweep);
 BENCHMARK(BM_EarliestAt)->Apply(SpanSweep);
+BENCHMARK(BM_AddRemChurn)->Arg(100)->Arg(10000)->Arg(1000000);
 
 // --- Ablation: augmented time tree vs linear sweep --------------------------
 //

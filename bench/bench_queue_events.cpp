@@ -23,6 +23,10 @@
 // of collecting and ranking every candidate. CI gates on this ratio —
 // a counter, not wall-clock, so it is stable on shared runners.
 //
+// `peak_rss_mb` is the process's peak resident set (getrusage ru_maxrss)
+// over the three runs, i.e. the largest engine plus its backlog. CI gates
+// it too, so per-planner state that grows with the graph shows up.
+//
 // Environment:
 //   FLUXION_QE_RACKS      — rack count (default 2)
 //   FLUXION_QE_JOBS       — trace length (default 10000)
@@ -32,6 +36,8 @@
 //   FLUXION_BENCH_METRICS — write a JSON summary (both runs' counters,
 //                           the ratios, and the obs catalogue) to this
 //                           file; enables obs collection
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -180,13 +186,18 @@ int main() {
       fm.visits > 0
           ? static_cast<double>(on.visits) / static_cast<double>(fm.visits)
           : 0.0;
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const double peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
   std::printf("\nmatch_ratio     %.2fx fewer traversal matches with the "
               "cache\npops_per_event  %.2f heap pops per fired event "
               "(vs %d jobs rescanned per event before)\n"
               "fm_visit_ratio  %.2fx fewer traverser visits with "
-              "first-match (%llu early stops)\n",
+              "first-match (%llu early stops)\n"
+              "peak_rss_mb     %.1f MiB peak resident set\n",
               match_ratio, pops_per_event, jobs, fm_visit_ratio,
-              static_cast<unsigned long long>(fm.first_match_stops));
+              static_cast<unsigned long long>(fm.first_match_stops),
+              peak_rss_mb);
 
   bench::Report rep("queue_events");
   rep.config_int("racks", racks);
@@ -211,6 +222,7 @@ int main() {
   runs.clear();
   stats_json(runs, fm);
   rep.extra("first_match", std::move(runs));
+  rep.extra("peak_rss_mb", bench::Report::num(peak_rss_mb));
   if (obs::enabled()) rep.extra("obs", obs::monitor().json());
   if (!rep.write()) return 2;
   return 0;

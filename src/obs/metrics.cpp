@@ -347,8 +347,8 @@ std::string PerfMonitor::json() const {
           for (const bool max : {false, true}) {
             std::string list;
             for (const Gauge& g : hier_member_depth) {
-              list += (list.empty() ? "" : ",") +
-                      std::to_string(max ? g.max() : g.value());
+              if (!list.empty()) list += ',';
+              list += std::to_string(max ? g.max() : g.value());
             }
             if (max) out += ",";
             kv(out, max ? "member_depth_max" : r.key, "[" + list + "]");

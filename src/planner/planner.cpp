@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "obs/metrics.hpp"
 
@@ -27,16 +28,9 @@ Planner::Planner(TimePoint base, Duration horizon, std::int64_t total,
   assert(horizon > 0);
   assert(total >= 0);
   // Pinned base point: the planner state is defined from base_time on.
-  ScheduledPoint* p = point_pool_.create();
-  p->at = base_;
-  p->in_use = 0;
-  p->ref_count = 1;  // never collected
-  sp_tree_.insert(p);
-  points_.emplace(base_, p);
-}
-
-Planner::~Planner() {
-  for (auto& [t, p] : points_) point_pool_.destroy(p);
+  base_point_.at = base_;
+  base_point_.ref_count = 1;  // never collected
+  sp_tree_.insert(&base_point_);
 }
 
 ScheduledPoint* Planner::floor_point(TimePoint t) const {
@@ -44,9 +38,9 @@ ScheduledPoint* Planner::floor_point(TimePoint t) const {
 }
 
 ScheduledPoint* Planner::get_or_create_point(TimePoint t) {
-  if (auto it = points_.find(t); it != points_.end()) return it->second;
   ScheduledPoint* prev = floor_point(t);
   assert(prev != nullptr);  // base point pinned and t >= base checked earlier
+  if (prev->at == t) return prev;
   // Recycled slot from the slab pool: span add/remove churn turns over
   // points constantly, and the pool turns that into pointer pops instead
   // of allocator round-trips.
@@ -55,20 +49,18 @@ ScheduledPoint* Planner::get_or_create_point(TimePoint t) {
   raw->in_use = prev->in_use;  // state carries forward until changed
   raw->ref_count = 0;
   sp_tree_.insert(raw);
-  points_.emplace(t, raw);
   if (obs::enabled()) obs::monitor().planner_point_inserts.inc();
   return raw;
 }
 
 void Planner::maybe_collect(ScheduledPoint* p) {
-  if (p->ref_count > 0 || p->at == base_) return;
+  if (p->ref_count > 0) return;  // the base point's pin keeps it
   // With no span anchored here the point no longer marks a state change.
   assert([&] {
     const ScheduledPoint* prev = SpTree::prev(p);
     return prev != nullptr && prev->in_use == p->in_use;
   }());
   sp_tree_.erase(p);
-  points_.erase(p->at);
   point_pool_.destroy(p);
   if (obs::enabled()) obs::monitor().planner_point_removes.inc();
 }
@@ -149,9 +141,13 @@ bool Planner::avail_during(TimePoint at, Duration duration,
   if (duration <= 0 || request < 0) return false;
   if (at < base_ || at + duration > plan_end()) return false;
   if (request > total_) return false;
-  const ScheduledPoint* p = floor_point(at);
-  assert(p != nullptr);
-  for (const ScheduledPoint* q = p; q != nullptr && q->at < at + duration;
+  return window_fits(floor_point(at), at + duration, request);
+}
+
+bool Planner::window_fits(const ScheduledPoint* from, TimePoint end,
+                          std::int64_t request) const {
+  assert(from != nullptr);
+  for (const ScheduledPoint* q = from; q != nullptr && q->at < end;
        q = SpTree::next(q)) {
     if (q->in_use > total_ - request) return false;
   }
@@ -177,15 +173,6 @@ util::Expected<std::int64_t> Planner::avail_resources_during(
     peak = std::max(peak, q->in_use);
   }
   return total_ - peak;
-}
-
-bool Planner::span_ok(const ScheduledPoint* start, Duration duration,
-                      std::int64_t request) const {
-  for (const ScheduledPoint* q = start;
-       q != nullptr && q->at < start->at + duration; q = SpTree::next(q)) {
-    if (q->in_use > total_ - request) return false;
-  }
-  return true;
 }
 
 const ScheduledPoint* Planner::first_fit_after(TimePoint t,
@@ -248,12 +235,13 @@ util::Expected<TimePoint> Planner::avail_time_first(
   if (avail_during(on_or_after, duration, request)) return on_or_after;
 
   // Visit the points past on_or_after with `request` units free, in time
-  // order, and accept the first whose whole window passes span_ok.
+  // order, and accept the first whose whole window fits (the paper's
+  // SPANOK).
   for (const ScheduledPoint* pt = first_fit_after(on_or_after, request);
        pt != nullptr; pt = first_fit_after(pt->at, request)) {
     if (obs::enabled()) obs::monitor().planner_atf_probes.inc();
     if (pt->at + duration > plan_end()) break;  // later candidates only worsen
-    if (span_ok(pt, duration, request)) return pt->at;
+    if (window_fits(pt, pt->at + duration, request)) return pt->at;
   }
   return util::Error{Errc::resource_busy,
                      "avail_time_first: no feasible start within horizon"};
@@ -263,7 +251,8 @@ util::Status Planner::resize_total(std::int64_t new_total) {
   if (new_total < 0) {
     return util::Error{Errc::invalid_argument, "resize_total: negative total"};
   }
-  for (const auto& [t, p] : points_) {
+  for (const ScheduledPoint* p = sp_tree_.min(); p != nullptr;
+       p = SpTree::next(p)) {
     if (p->in_use > new_total) {
       return util::Error{Errc::resource_busy,
                          "resize_total: existing spans exceed new total"};
@@ -279,8 +268,20 @@ const Span* Planner::find_span(SpanId id) const {
 }
 
 bool Planner::validate() const {
-  if (sp_tree_.size() != points_.size()) return false;
   if (sp_tree_.validate() < 0) return false;
+  if (sp_tree_.min() != &base_point_ || base_point_.at != base_) return false;
+
+  // Recount the span endpoints at each time from spans_ alone, plus the
+  // base point's pin: every point must carry exactly its count, and every
+  // counted time must have a point.
+  std::map<TimePoint, int> anchors{{base_, 1}};
+  for (const auto& [id, span] : spans_) {
+    if (span.start_point->at != span.start) return false;
+    if (span.last_point->at != span.last) return false;
+    if (span.planned <= 0 || span.start >= span.last) return false;
+    ++anchors[span.start];
+    ++anchors[span.last];
+  }
 
   const ScheduledPoint* prev = nullptr;
   for (const ScheduledPoint* p = sp_tree_.min(); p != nullptr;
@@ -291,8 +292,12 @@ bool Planner::validate() const {
       // A point must mark a change or anchor a span endpoint.
       if (prev->in_use == p->in_use && p->ref_count == 0) return false;
     }
+    const auto it = anchors.find(p->at);
+    if (p->ref_count != (it == anchors.end() ? 0 : it->second)) return false;
+    if (it != anchors.end()) anchors.erase(it);
     prev = p;
   }
+  if (!anchors.empty()) return false;
 
   // Subtree minima must be exact: recompute them bottom-up by brute force.
   struct Rec {
@@ -307,14 +312,7 @@ bool Planner::validate() const {
     }
   } rec;
   rec.min_of(sp_tree_.root());
-  if (!rec.exact) return false;
-
-  for (const auto& [id, span] : spans_) {
-    if (span.start_point->at != span.start) return false;
-    if (span.last_point->at != span.last) return false;
-    if (span.planned <= 0 || span.start >= span.last) return false;
-  }
-  return true;
+  return rec.exact;
 }
 
 }  // namespace fluxion::planner

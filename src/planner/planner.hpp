@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "rbtree/rbtree.hpp"
@@ -86,7 +87,6 @@ class Planner {
   /// horizon > 0.
   Planner(TimePoint base, Duration horizon, std::int64_t total,
           std::string_view resource_type);
-  ~Planner();
   Planner(const Planner&) = delete;
   Planner& operator=(const Planner&) = delete;
 
@@ -96,7 +96,7 @@ class Planner {
   std::int64_t total() const noexcept { return total_; }
   const std::string& resource_type() const noexcept { return resource_type_; }
   std::size_t span_count() const noexcept { return spans_.size(); }
-  std::size_t point_count() const noexcept { return points_.size(); }
+  std::size_t point_count() const noexcept { return sp_tree_.size(); }
 
   /// Claim `request` units over [start, start + duration). Fails with
   /// resource_busy if the window cannot satisfy the request, out_of_range
@@ -136,8 +136,9 @@ class Planner {
   /// Look up a committed span (test/introspection hook).
   const Span* find_span(SpanId id) const;
 
-  /// O(N) structural self-check for tests: tree consistent with the point
-  /// map, 0 <= in_use <= total, subtree minima exact.
+  /// O(N log N) structural self-check for tests: 0 <= in_use <= total,
+  /// subtree minima exact, each point's ref_count equal to the span
+  /// endpoints at its time (recounted from the spans), base point first.
   bool validate() const;
 
  private:
@@ -145,8 +146,8 @@ class Planner {
   ScheduledPoint* get_or_create_point(TimePoint t);
   void maybe_collect(ScheduledPoint* p);
   void rekey(ScheduledPoint* p, std::int64_t new_in_use);
-  bool span_ok(const ScheduledPoint* start, Duration duration,
-               std::int64_t request) const;
+  bool window_fits(const ScheduledPoint* from, TimePoint end,
+                   std::int64_t request) const;
   const ScheduledPoint* first_fit_after(TimePoint t,
                                         std::int64_t request) const;
 
@@ -155,10 +156,13 @@ class Planner {
   std::int64_t total_;
   std::string resource_type_;
 
-  // Points live in the slab pool (recycled across add/rem churn); the
-  // map indexes them by time and the tree holds intrusive views.
+  // The tree is the one index of the points. The pinned base point lives
+  // inline, so a planner no span has touched allocates nothing; the rest
+  // come from the slab pool (recycled across add/rem churn) and, being
+  // trivially destructible, are freed with its slabs.
+  static_assert(std::is_trivially_destructible_v<ScheduledPoint>);
+  ScheduledPoint base_point_;
   util::Pool<ScheduledPoint> point_pool_;
-  std::unordered_map<TimePoint, ScheduledPoint*> points_;
   mutable SpTree sp_tree_;
   std::unordered_map<SpanId, Span> spans_;
   SpanId next_span_id_ = 0;

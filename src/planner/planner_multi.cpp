@@ -18,12 +18,11 @@ PlannerMulti::PlannerMulti(TimePoint base, Duration horizon)
 util::Expected<std::size_t> PlannerMulti::add_resource(std::string_view type,
                                                        std::int64_t total,
                                                        std::uint32_t id) {
-  if (index_.contains(std::string(type)) || index_of_id(id)) {
+  if (index_of(type) || index_of_id(id)) {
     return util::Error{Errc::exists, "add_resource: type already tracked"};
   }
   const std::size_t idx = planners_.size();
   planners_.push_back(std::make_unique<Planner>(base_, horizon_, total, type));
-  index_.emplace(std::string(type), idx);
   if (id != kNoId) {
     if (by_id_.size() <= id) by_id_.resize(std::size_t{id} + 1, -1);
     by_id_[id] = static_cast<std::int32_t>(idx);
@@ -32,9 +31,10 @@ util::Expected<std::size_t> PlannerMulti::add_resource(std::string_view type,
 }
 
 std::optional<std::size_t> PlannerMulti::index_of(std::string_view type) const {
-  auto it = index_.find(std::string(type));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  for (std::size_t i = 0; i < planners_.size(); ++i) {
+    if (planners_[i]->resource_type() == type) return i;
+  }
+  return std::nullopt;
 }
 
 util::Expected<SpanId> PlannerMulti::add_span(TimePoint start,
@@ -48,8 +48,7 @@ util::Expected<SpanId> PlannerMulti::add_span(TimePoint start,
     return util::Error{Errc::resource_busy,
                        "add_span: insufficient aggregate resources"};
   }
-  std::vector<SpanId> ids = span_tails_.get();
-  ids.assign(planners_.size(), kInvalidSpan);
+  std::vector<SpanId> ids(planners_.size(), kInvalidSpan);
   for (std::size_t i = 0; i < planners_.size(); ++i) {
     if (counts[i] == 0) continue;
     auto r = planners_[i]->add_span(start, duration, counts[i]);
@@ -59,7 +58,6 @@ util::Expected<SpanId> PlannerMulti::add_span(TimePoint start,
       for (std::size_t j = 0; j < i; ++j) {
         if (ids[j] != kInvalidSpan) (void)planners_[j]->rem_span(ids[j]);
       }
-      span_tails_.put(std::move(ids));
       return r.error();
     }
     ids[i] = *r;
@@ -88,7 +86,6 @@ util::Status PlannerMulti::rem_span(SpanId id) {
                st.error().message;
     }
   }
-  span_tails_.put(std::move(it->second));
   spans_.erase(it);
   if (obs::enabled()) obs::monitor().multi_span_removes.inc();
   if (!detail.empty()) return util::internal_error(std::move(detail));

@@ -14,14 +14,12 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "planner/planner.hpp"
 #include "util/expected.hpp"
-#include "util/pool.hpp"
 
 namespace fluxion::planner {
 
@@ -38,10 +36,10 @@ class PlannerMulti {
   static constexpr std::uint32_t kNoId = UINT32_MAX;
 
   /// Register a resource type with `total` units. Returns its index.
-  /// Fails with `exists` if the type is already tracked. `id` is the
-  /// caller's dense integer id for the type (the graph passes its type
-  /// InternId), so hot lookups can use index_of_id instead of hashing
-  /// the name.
+  /// Fails with `exists` if the type or its id is already tracked. `id`
+  /// is the caller's dense integer id for the type (the graph passes its
+  /// type InternId), so hot lookups can use index_of_id instead of
+  /// comparing names.
   util::Expected<std::size_t> add_resource(std::string_view type,
                                            std::int64_t total,
                                            std::uint32_t id = kNoId);
@@ -50,7 +48,7 @@ class PlannerMulti {
   TimePoint base_time() const noexcept { return base_; }
   TimePoint plan_end() const noexcept { return base_ + horizon_; }
 
-  /// Index of a type; nullopt if untracked.
+  /// Index of a type; nullopt if untracked. Scans the few tracked types.
   std::optional<std::size_t> index_of(std::string_view type) const;
 
   /// Index of the type registered under caller id `id`; nullopt if no
@@ -92,13 +90,9 @@ class PlannerMulti {
   TimePoint base_;
   Duration horizon_;
   std::vector<std::unique_ptr<Planner>> planners_;
-  std::unordered_map<std::string, std::size_t> index_;
   std::vector<std::int32_t> by_id_;  // caller id -> index, -1 = none
   // Multi-span id -> per-planner span ids (kInvalidSpan where count was 0).
-  // Tail vectors cycle through the recycler so SDFU's add/rem churn reuses
-  // their heap buffers instead of reallocating one per filter span.
   std::unordered_map<SpanId, std::vector<SpanId>> spans_;
-  util::Recycler<SpanId> span_tails_;
   SpanId next_span_id_ = 0;
 };
 

@@ -106,7 +106,7 @@ std::string format_trace(const std::vector<TraceJob>& trace) {
       with_arrivals ? "# nodes duration arrival\n" : "# nodes duration\n";
   for (const TraceJob& j : trace) {
     out += std::to_string(j.nodes) + " " + std::to_string(j.duration);
-    if (with_arrivals) out += " " + std::to_string(j.arrival);
+    if (with_arrivals) out.append(" ").append(std::to_string(j.arrival));
     out += "\n";
   }
   return out;

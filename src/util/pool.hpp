@@ -1,10 +1,16 @@
 // Slab free-list allocator for hot-path node churn.
 //
-// The planner allocates and frees a ScheduledPoint per span endpoint on
-// every add/rem; under a drain the same few dozen nodes are recycled
-// thousands of times. Pool<T> carves fixed-size slabs, hands out slots
-// from a free list, and never returns memory to the system until it is
-// destroyed — so steady-state add/rem cycles allocate nothing.
+// Each Planner owns one Pool for its non-base scheduled points (the base
+// point is a member of the Planner). Under a drain the same few dozen
+// points are freed and re-created thousands of times; the pool hands
+// them out from a free list and never returns memory to the system until
+// it is destroyed, so steady-state add/rem cycles allocate nothing.
+//
+// Slabs are lazy: an empty pool holds no memory, and the first create()
+// allocates the first 64-slot slab. Most planners of a large graph are
+// never touched by a span and so never allocate one. Slots of one slab
+// sit together, which keeps a planner's points close in memory for the
+// tree walks over them.
 //
 // Not thread-safe: each Pool belongs to a single owner (a Planner), and
 // an engine's planners are driven by one thread (see the concurrency
@@ -27,8 +33,8 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  ~Pool() = default;  // slabs free wholesale; live objects must be
-                      // destroyed by the owner first (asserted via live())
+  ~Pool() = default;  // slabs free wholesale; a live T with a nontrivial
+                      // destructor must be destroyed by the owner first
 
   /// Construct a T in a recycled (or fresh) slot.
   template <typename... Args>
@@ -78,29 +84,6 @@ class Pool {
   std::size_t slab_used_ = 0;
   Slot* free_ = nullptr;
   std::size_t live_ = 0;
-};
-
-/// Vector recycler: hands back cleared vectors with their capacity
-/// intact, so repeated build/discard cycles (planner_multi span tails)
-/// stop reallocating.
-template <typename T>
-class Recycler {
- public:
-  std::vector<T> get() {
-    if (spare_.empty()) return {};
-    std::vector<T> v = std::move(spare_.back());
-    spare_.pop_back();
-    v.clear();
-    return v;
-  }
-
-  void put(std::vector<T>&& v) {
-    if (spare_.size() < kMaxSpare) spare_.push_back(std::move(v));
-  }
-
- private:
-  static constexpr std::size_t kMaxSpare = 64;
-  std::vector<std::vector<T>> spare_;
 };
 
 }  // namespace fluxion::util

@@ -50,7 +50,7 @@ std::string match_to_pretty(const graph::ResourceGraph& g,
     out += std::string(parts.size() * 2, ' ') +
            std::string(parts.back());
     if (row.units != row.size || row.size != 1) {
-      out += "[" + std::to_string(row.units) + "]";
+      out.append("[").append(std::to_string(row.units)).append("]");
     }
     if (row.exclusive) out += "*";
     out += "\n";
@@ -64,7 +64,9 @@ void render_subtree(const graph::ResourceGraph& g, graph::VertexId v,
                     std::size_t depth, std::string& out) {
   const graph::Vertex& vx = g.vertex(v);
   out += std::string(depth * 2, ' ') + vx.name;
-  if (vx.size != 1) out += "[" + std::to_string(vx.size) + "]";
+  if (vx.size != 1) {
+    out.append("[").append(std::to_string(vx.size)).append("]");
+  }
   if (vx.status != graph::ResourceStatus::up) {
     out += std::string(" (") + graph::status_name(vx.status) + ")";
   }

@@ -57,7 +57,7 @@ TEST(JobspecGenerative, RoundTripAndMatchNeverBreakInvariants) {
   // Tag half the cores so "tag=a" requirements are sometimes satisfiable.
   const auto cores = g.vertices_of_type(*g.find_type("core"));
   for (std::size_t i = 0; i < cores.size(); i += 2) {
-    g.vertex(cores[i]).properties["tag"] = "a";
+    g.vertex(cores[i]).properties.emplace("tag", "a");
   }
   policy::LowIdPolicy pol;
   traverser::Traverser trav(g, *root, pol);

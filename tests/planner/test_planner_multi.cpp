@@ -30,6 +30,22 @@ TEST_F(MultiTest, RegistersResources) {
 
 TEST_F(MultiTest, DuplicateTypeRejected) {
   EXPECT_EQ(m.add_resource("core", 10).error().code, Errc::exists);
+
+  // A pruning filter registers its types under the graph's type ids: a
+  // repeat of either the name or the id is refused, a refused call
+  // registers nothing, and the two lookups agree.
+  PlannerMulti f(0, 100);
+  ASSERT_TRUE(f.add_resource("node", 4, 7));
+  ASSERT_TRUE(f.add_resource("core", 16, 2));
+  EXPECT_EQ(f.add_resource("node", 8, 9).error().code, Errc::exists);
+  EXPECT_EQ(f.add_resource("gpu", 4, 2).error().code, Errc::exists);
+  EXPECT_EQ(f.resource_count(), 2u);
+  EXPECT_EQ(f.index_of("node"), 0u);
+  EXPECT_EQ(f.index_of("core"), 1u);
+  EXPECT_EQ(f.index_of("node"), f.index_of_id(7));
+  EXPECT_EQ(f.index_of("core"), f.index_of_id(2));
+  EXPECT_EQ(f.index_of("gpu"), std::nullopt);
+  EXPECT_EQ(f.index_of_id(9), std::nullopt);
 }
 
 TEST_F(MultiTest, AddSpanClaimsAllTypes) {

@@ -37,10 +37,13 @@ TEST(Interner, FindSeenAndUnseen) {
 TEST(Interner, ManyStringsStayStable) {
   Interner in;
   std::vector<InternId> ids;
-  for (int i = 0; i < 500; ++i) ids.push_back(in.intern("t" + std::to_string(i)));
+  const auto name = [](int i) {
+    return std::string("t").append(std::to_string(i));
+  };
+  for (int i = 0; i < 500; ++i) ids.push_back(in.intern(name(i)));
   for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(in.name(ids[i]), "t" + std::to_string(i));
-    EXPECT_EQ(in.intern("t" + std::to_string(i)), ids[i]);
+    EXPECT_EQ(in.name(ids[i]), name(i));
+    EXPECT_EQ(in.intern(name(i)), ids[i]);
   }
 }
 

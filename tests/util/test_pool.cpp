@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -78,32 +77,6 @@ TEST(Pool, NonTrivialTypes) {
   std::string* t = pool.create(std::size_t{100}, 'x');
   EXPECT_EQ(t->size(), 100u);
   pool.destroy(t);
-}
-
-TEST(Recycler, HandsBackClearedCapacity) {
-  Recycler<int> rec;
-  std::vector<int> v = rec.get();
-  EXPECT_TRUE(v.empty());
-  v.assign(100, 42);
-  const int* data = v.data();
-  const std::size_t cap = v.capacity();
-  rec.put(std::move(v));
-  std::vector<int> w = rec.get();
-  EXPECT_TRUE(w.empty());
-  EXPECT_EQ(w.capacity(), cap);
-  EXPECT_EQ(w.data(), data);  // literally the same buffer, recycled
-}
-
-TEST(Recycler, BoundsItsSpareList) {
-  Recycler<int> rec;
-  for (int i = 0; i < 200; ++i) {
-    std::vector<int> v(16, i);
-    rec.put(std::move(v));  // beyond the cap these are simply dropped
-  }
-  for (int i = 0; i < 200; ++i) {
-    std::vector<int> v = rec.get();
-    EXPECT_TRUE(v.empty());
-  }
 }
 
 }  // namespace

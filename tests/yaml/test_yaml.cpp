@@ -282,7 +282,7 @@ TEST(Yaml, DeepNestingTenLevels) {
   ASSERT_TRUE(r) << r.error().message;
   const Node* n = &*r;
   for (int i = 0; i < 10; ++i) {
-    n = n->get("k" + std::to_string(i));
+    n = n->get(std::string("k").append(std::to_string(i)));
     ASSERT_NE(n, nullptr) << i;
   }
   EXPECT_EQ(n->get("leaf")->as_i64(), 1);
