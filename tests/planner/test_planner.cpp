@@ -90,6 +90,28 @@ TEST(Planner, SharedEndpointsRefCounted) {
   EXPECT_TRUE(p.validate());
 }
 
+// A span starting at the base time lands on the inline base point rather
+// than creating a second point there; releasing it leaves the base point.
+TEST(Planner, SpansAtBaseTimeShareTheBasePoint) {
+  Planner p(0, 100, 8, "memory");
+  auto a = p.add_span(0, 10, 3);  // base point, point at 10
+  auto b = p.add_span(0, 20, 2);  // base point, point at 20
+  ASSERT_TRUE(a);
+  ASSERT_TRUE(b);
+  EXPECT_EQ(p.point_count(), 3u);
+  EXPECT_EQ(*p.avail_at(0), 3);
+  EXPECT_TRUE(p.validate());
+  ASSERT_TRUE(p.resize_total(5));
+  EXPECT_EQ(*p.avail_at(0), 0);
+  EXPECT_EQ(*p.avail_at(10), 3);
+  ASSERT_TRUE(p.rem_span(*a));
+  ASSERT_TRUE(p.rem_span(*b));
+  EXPECT_EQ(p.point_count(), 1u);
+  EXPECT_EQ(*p.avail_at(0), 5);
+  EXPECT_TRUE(p.avail_during(0, 100, 5));
+  EXPECT_TRUE(p.validate());
+}
+
 // --- The paper's Figure 3 walkthrough -------------------------------------
 
 class PaperExample : public ::testing::Test {

@@ -29,6 +29,16 @@ TEST(Pool, CreateConstructsAndDestroyDestructs) {
   EXPECT_EQ(pool.live(), 0u);
 }
 
+TEST(Pool, FirstSlabIsAllocatedLazily) {
+  Pool<std::int64_t> pool;
+  EXPECT_EQ(pool.capacity(), 0u);  // an untouched pool holds no slab
+  std::int64_t* p = pool.create(1);
+  const std::size_t one_slab = pool.capacity();
+  EXPECT_GT(one_slab, 0u);
+  pool.destroy(p);
+  EXPECT_EQ(pool.capacity(), one_slab);  // freed slots stay for reuse
+}
+
 TEST(Pool, RecyclesSlotsWithoutGrowing) {
   Pool<std::int64_t> pool;
   std::int64_t* p = pool.create(1);
