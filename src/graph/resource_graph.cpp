@@ -210,6 +210,14 @@ std::map<InternId, std::int64_t> ResourceGraph::subtree_counts(
   return counts;
 }
 
+bool ResourceGraph::in_subtree(VertexId v, VertexId top) const {
+  for (VertexId a = v; a != kInvalidVertex;
+       a = vertices_[a].containment_parent) {
+    if (a == top) return true;
+  }
+  return false;
+}
+
 util::Status ResourceGraph::resize_ancestor_filters(
     VertexId from, const std::map<InternId, std::int64_t>& delta, bool grow) {
   // All-or-nothing: remember every applied resize so a mid-walk failure

@@ -233,6 +233,10 @@ class ResourceGraph {
   /// Sum of pool sizes per type over v's containment subtree (v included).
   std::map<InternId, std::int64_t> subtree_counts(VertexId v) const;
 
+  /// Whether v is `top` or lies below it in containment: a walk up v's
+  /// containment parents reaches `top`. O(depth).
+  bool in_subtree(VertexId v, VertexId top) const;
+
   // --- graph filtering (paper §3.3) ----------------------------------------
   /// Restrict traversal to these subsystems; empty means "containment".
   void set_subsystem_filter(std::vector<InternId> subsystems);

@@ -1021,13 +1021,7 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
   EvictResult result;
   const auto& g = traverser_.graph();
   if (vertex >= g.vertex_count()) return result;
-  const std::string prefix = g.vertex(vertex).path;
-  auto within = [&](graph::VertexId v) {
-    const std::string& p = g.vertex(v).path;
-    return p == prefix || (p.size() > prefix.size() &&
-                           p.compare(0, prefix.size(), prefix) == 0 &&
-                           p[prefix.size()] == '/');
-  };
+  const std::string path = g.vertex(vertex).path;
   // Snapshot the ids first: evicting mutates job state mid-iteration.
   std::vector<JobId> affected;
   for (const JobId id : order_) {
@@ -1036,7 +1030,7 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
       continue;
     }
     for (const auto& ru : job.resources) {
-      if (within(ru.vertex)) {
+      if (g.in_subtree(ru.vertex, vertex)) {
         affected.push_back(id);
         break;
       }
@@ -1052,28 +1046,28 @@ EvictResult JobQueue::evict_on(graph::VertexId vertex, EvictPolicy policy) {
     if (job.state == JobState::reserved) {
       // Reservation re-planned: the next schedule() pass finds it a new
       // start on the surviving resources.
-      replan(job, prefix);
+      replan(job, path);
       result.replanned.push_back(id);
     } else if (policy == EvictPolicy::requeue) {
       enqueue_pending(job);
       result.requeued.push_back(id);
       if (obs::enabled()) obs::monitor().dyn_evicted_requeued.inc();
       record_event(id, "evict",
-                   {{"on", obs::event_str(prefix)},
+                   {{"on", obs::event_str(path)},
                     {"action", obs::event_str("requeue")}});
       obs::trace().sim_instant("evict", static_cast<double>(now_), id,
-                               {{"on", obs::trace_str(prefix)},
+                               {{"on", obs::trace_str(path)},
                                 {"action", obs::trace_str("requeue")}});
-      replan_dependents(prefix, result);
+      replan_dependents(path, result);
     } else {
       job.state = JobState::canceled;
       result.killed.push_back(id);
       if (obs::enabled()) obs::monitor().dyn_evicted_killed.inc();
       record_event(id, "evict",
-                   {{"on", obs::event_str(prefix)},
+                   {{"on", obs::event_str(path)},
                     {"action", obs::event_str("kill")}});
       obs::trace().sim_instant("evict", static_cast<double>(now_), id,
-                               {{"on", obs::trace_str(prefix)},
+                               {{"on", obs::trace_str(path)},
                                 {"action", obs::trace_str("kill")}});
       reject_broken_dependents(result.released);
     }

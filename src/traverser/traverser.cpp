@@ -1,6 +1,8 @@
 #include "traverser/traverser.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <tuple>
 
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
@@ -39,6 +41,18 @@ void publish_walk_counters(const TraverserStats& d) {
   m.trav_postorder_rejects.inc(d.postorder_rejects);
   m.trav_first_match_stops.inc(d.first_match_stops);
   m.trav_match_attempts.inc(d.match_attempts);
+}
+
+/// Fault-point step names of the rebook families (Rebook::Family order).
+constexpr const char* kFamilyPoints[] = {"claim", "shared", "filter"};
+
+/// Count one Scheduler-Driven Filter Update of `spans` filter spans.
+void publish_sdfu(std::size_t spans) {
+  if (!obs::enabled()) return;
+  auto& m = obs::monitor();
+  m.sdfu_commits.inc();
+  m.sdfu_spans.inc(spans);
+  m.sdfu_spans_per_commit.add(static_cast<double>(spans));
 }
 
 bool meets_requirements(const graph::Vertex& v,
@@ -613,92 +627,158 @@ util::Status Traverser::unbook(const CommittedClaim& cc) {
 util::Status Traverser::apply_selection(JobRecord& rec,
                                         const util::TimeWindow& w,
                                         const Selection& sel) {
-  const std::size_t claims_mark = rec.claims.size();
-  const std::size_t shared_mark = rec.shared_spans.size();
-  const std::size_t filter_mark = rec.filter_spans.size();
-  auto abort = [&](const char* what) -> util::Error {
-    bool rollback_ok = true;
-    while (rec.claims.size() > claims_mark) {
-      rollback_ok &= static_cast<bool>(unbook(rec.claims.back()));
-      rec.claims.pop_back();
-    }
-    while (rec.shared_spans.size() > shared_mark) {
-      auto& [v, id] = rec.shared_spans.back();
-      rollback_ok &= static_cast<bool>(g_.vertex(v).x_checker->rem_span(id));
-      rec.shared_spans.pop_back();
-    }
-    while (rec.filter_spans.size() > filter_mark) {
-      auto& fs = rec.filter_spans.back();
-      rollback_ok &=
-          static_cast<bool>(g_.vertex(fs.vertex).filter->rem_span(fs.span));
-      rec.filter_spans.pop_back();
-    }
-    return util::internal_error(
-        std::string("apply_selection failed: ") + what +
-        (rollback_ok ? "" : "; rollback incomplete"));
-  };
+  Rebook& p = rebook_;
+  p.start(rec);
+  for (const Claim& c : sel.claims) p.add(rec, {c, w, planner::kInvalidSpan});
+  for (VertexId v : sel.shared_marks) p.add(rec, v, w);
+  sdfu_loads(std::span(rec.claims).subspan(p.claims), rec);
+  const std::size_t loads = rec.filter_spans.size() - p.filters;
+  if (auto st = rebook(rec, "apply"); !st) return st;
+  publish_sdfu(loads);
+  return util::Status::ok();
+}
 
-  // Only booked claims get a schedule span; a covered claim is booked by
-  // its enclosing exclusive claim's span and only counted on its vertex.
-  for (const Claim& c : sel.claims) {
-    if (c.covered) {
-      ++g_.vertex(c.vertex).covered_claims;
-      rec.claims.push_back({c, w, planner::kInvalidSpan});
-      continue;
-    }
-    auto span = add_span_checked(*g_.vertex(c.vertex).schedule, "apply:claim",
-                                 w.start, w.duration, c.units);
-    if (!span) return abort("schedule span rejected");
-    rec.claims.push_back({c, w, *span});
-  }
-  for (VertexId v : sel.shared_marks) {
-    auto span = add_span_checked(*g_.vertex(v).x_checker, "apply:shared",
-                                 w.start, w.duration, 1);
-    if (!span) return abort("shared-use span rejected");
-    rec.shared_spans.emplace_back(v, *span);
-  }
-
-  // Scheduler-Driven Filter Updates (paper §3.4): only the ancestors of
-  // selected vertices are touched, with the aggregate amounts the
-  // selection consumed beneath each of them.
-  std::map<VertexId, std::vector<std::int64_t>> filter_updates;
-  for (const Claim& c : sel.claims) {
-    if (c.under_exclusive) continue;  // covered by the enclosing instance
-    std::map<util::InternId, std::int64_t> contribution;
-    if (c.whole_instance) {
-      contribution = g_.subtree_counts(c.vertex);
-    } else {
-      contribution[g_.vertex(c.vertex).type] = c.units;
-    }
-    for (VertexId a = c.vertex; a != graph::kInvalidVertex;
+void Traverser::sdfu_loads(std::span<const CommittedClaim> claims,
+                           JobRecord& rec) {
+  std::map<std::tuple<VertexId, TimePoint, Duration>, FilterSpan> loads;
+  for (const CommittedClaim& cc : claims) {
+    if (cc.claim.under_exclusive) continue;
+    const VertexId v = cc.claim.vertex;
+    const std::map<util::InternId, std::int64_t> contribution =
+        cc.claim.whole_instance
+            ? g_.subtree_counts(v)
+            : std::map<util::InternId, std::int64_t>{
+                  {g_.vertex(v).type, cc.claim.units}};
+    for (VertexId a = v; a != graph::kInvalidVertex;
          a = g_.vertex(a).containment_parent) {
       const planner::PlannerMulti* filter = g_.vertex(a).filter.get();
       if (filter == nullptr) continue;
-      auto& counts = filter_updates[a];
-      counts.resize(filter->resource_count(), 0);
+      FilterSpan& load = loads[{a, cc.window.start, cc.window.duration}];
+      load.vertex = a;
+      load.window = cc.window;
+      load.counts.resize(filter->resource_count(), 0);
       for (const auto& [type, amount] : contribution) {
-        if (auto idx = filter->index_of_id(type)) counts[*idx] += amount;
+        if (auto idx = filter->index_of_id(type)) load.counts[*idx] += amount;
       }
     }
   }
-  for (auto& [v, counts] : filter_updates) {
-    if (std::all_of(counts.begin(), counts.end(),
-                    [](std::int64_t c) { return c == 0; })) {
-      continue;
+  for (auto& [key, load] : loads) {
+    if (std::any_of(load.counts.begin(), load.counts.end(),
+                    [](std::int64_t c) { return c != 0; })) {
+      rebook_.add(rec, std::move(load));
     }
-    auto span =
-        add_multi_checked(*g_.vertex(v).filter, "apply:filter", w.start,
-                          w.duration, counts);
-    if (!span) return abort("pruning filter span rejected");
-    rec.filter_spans.push_back({v, *span, w, counts});
   }
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    const std::size_t added = rec.filter_spans.size() - filter_mark;
-    m.sdfu_commits.inc();
-    m.sdfu_spans.inc(added);
-    m.sdfu_spans_per_commit.add(static_cast<double>(added));
+}
+
+util::Status Traverser::rebook_step(JobRecord& rec, const Rebook::Step& s,
+                                    bool book, const char* op) {
+  using Family = Rebook::Family;
+  graph::Vertex& vx = g_.vertex(s.vertex);
+  // Each planner call is a fault point.
+  auto injected = [&] {
+    return op != nullptr &&
+           fault_fires(op, book ? kFamilyPoints[static_cast<int>(s.family)]
+                                : "rem");
+  };
+  auto fault = [] {
+    return util::Status(util::Error{Errc::resource_busy, "injected fault"});
+  };
+  // A booking writes its span id into the slot it books.
+  auto put = [](util::Expected<planner::SpanId> span, planner::SpanId& id) {
+    if (!span) return util::Status(span.error());
+    id = *span;
+    return util::Status::ok();
+  };
+  switch (s.family) {
+    case Family::claim: {
+      CommittedClaim& cc = rec.claims[s.slot];
+      // Booked by its enclosing claim's span; rebook() moves its count.
+      if (cc.claim.covered) return util::Status::ok();
+      if (injected()) return fault();
+      if (!book) return vx.schedule->rem_span(cc.span);
+      return put(vx.schedule->add_span(cc.window.start, cc.window.duration,
+                                       cc.claim.units),
+                 cc.span);
+    }
+    case Family::shared: {
+      planner::SpanId& id = rec.shared_spans[s.slot].second;
+      if (injected()) return fault();
+      if (!book) return vx.x_checker->rem_span(id);
+      return put(vx.x_checker->add_span(s.window.start, s.window.duration, 1),
+                 id);
+    }
+    case Family::filter: {
+      FilterSpan& fs = rec.filter_spans[s.slot];
+      if (injected()) return fault();
+      if (!book) return vx.filter->rem_span(fs.span);
+      return put(vx.filter->add_span(fs.window.start, fs.window.duration,
+                                     fs.counts),
+                 fs.span);
+    }
   }
+  return util::Status::ok();
+}
+
+util::Status Traverser::rebook(JobRecord& rec, const char* op) {
+  using Family = Rebook::Family;
+  Rebook& p = rebook_;
+  bool released = false;
+  for (std::size_t done = 0; done < p.steps.size(); ++done) {
+    const Rebook::Step& s = p.steps[done];
+    const util::Status st = rebook_step(rec, s, s.add, op);
+    released = released || !s.add;
+    if (st) continue;
+    std::string what = std::string(op) + ": " +
+                       (s.add ? "booking " : "releasing ") +
+                       kFamilyPoints[static_cast<int>(s.family)] +
+                       " span on " + g_.vertex(s.vertex).path +
+                       " failed: " + st.error().message;
+    bool rollback_ok = true;
+    while (done-- > 0) {
+      const Rebook::Step& u = p.steps[done];
+      rollback_ok &= static_cast<bool>(rebook_step(rec, u, !u.add, nullptr));
+    }
+    rec.claims.resize(p.claims);
+    rec.shared_spans.resize(p.shared);
+    rec.filter_spans.resize(p.filters);
+    return util::internal_error(std::move(what) +
+                                (rollback_ok ? "" : "; rollback incomplete"));
+  }
+  // A covered claim holds no span, only a count on its vertex, which
+  // moves once nothing can fail any more.
+  for (std::size_t i = p.claims; i < rec.claims.size(); ++i) {
+    const Claim& c = rec.claims[i].claim;
+    if (c.covered) ++g_.vertex(c.vertex).covered_claims;
+  }
+  if (!released) return util::Status::ok();
+  // The released slots leave the record, marked first so the slot
+  // indices stay valid.
+  for (const Rebook::Step& s : p.steps) {
+    if (s.add) continue;
+    switch (s.family) {
+      case Family::claim: {
+        Claim& c = rec.claims[s.slot].claim;
+        if (c.covered) --g_.vertex(c.vertex).covered_claims;
+        c.vertex = graph::kInvalidVertex;
+        break;
+      }
+      case Family::shared:
+        rec.shared_spans[s.slot].first = graph::kInvalidVertex;
+        break;
+      case Family::filter:
+        rec.filter_spans[s.slot].vertex = graph::kInvalidVertex;
+        break;
+    }
+  }
+  std::erase_if(rec.claims, [](const CommittedClaim& cc) {
+    return cc.claim.vertex == graph::kInvalidVertex;
+  });
+  std::erase_if(rec.shared_spans, [](const auto& mark) {
+    return mark.first == graph::kInvalidVertex;
+  });
+  std::erase_if(rec.filter_spans, [](const FilterSpan& fs) {
+    return fs.vertex == graph::kInvalidVertex;
+  });
   return util::Status::ok();
 }
 
@@ -768,74 +848,32 @@ util::Status Traverser::shrink_impl(JobId job, VertexId vertex) {
     return util::Error{Errc::not_found, "shrink: unknown vertex"};
   }
   JobRecord& rec = it->second;
-  const std::string& prefix = g_.vertex(vertex).path;
-  auto within = [&](VertexId v) {
-    const std::string& p = g_.vertex(v).path;
-    return p == prefix || (p.size() > prefix.size() &&
-                           p.compare(0, prefix.size(), prefix) == 0 &&
-                           p[prefix.size()] == '/');
-  };
-  std::vector<std::size_t> drop_idx;
+  using Family = Rebook::Family;
+  Rebook& p = rebook_;
+  p.start(rec);
+  // Release the subtree's claims. Shared-use marks under it stay in
+  // place: they cost nothing and conservatively keep the walked chain
+  // non-exclusive until the job ends. The pruning filters are swapped for
+  // loads re-derived from the claims that stay.
+  std::vector<CommittedClaim> kept;
   for (std::size_t i = 0; i < rec.claims.size(); ++i) {
-    if (within(rec.claims[i].claim.vertex)) drop_idx.push_back(i);
+    const CommittedClaim& cc = rec.claims[i];
+    if (g_.in_subtree(cc.claim.vertex, vertex)) {
+      p.release(Family::claim, i, cc.claim.vertex);
+    } else {
+      kept.push_back(cc);
+    }
   }
-  if (drop_idx.empty()) {
+  if (kept.size() == rec.claims.size()) {
     return util::Error{Errc::not_found, "shrink: job holds nothing there"};
   }
-  auto readd = [&](CommittedClaim& cc) {
-    auto back = g_.vertex(cc.claim.vertex)
-                    .schedule->add_span(cc.window.start, cc.window.duration,
-                                        cc.claim.units);
-    cc.span = back ? *back : planner::kInvalidSpan;
-    return static_cast<bool>(back);
-  };
-  // Release the subtree's schedule spans; on a failed removal, restore the
-  // ones already released and report corruption. A covered claim has no
-  // span: its enclosing claim is either dropped too (it lies in the same
-  // subtree) or keeps the vertex booked.
-  std::vector<std::size_t> removed;
-  for (std::size_t i : drop_idx) {
-    CommittedClaim& cc = rec.claims[i];
-    if (cc.claim.covered) continue;
-    auto st = fault_fires("shrink:rem")
-                  ? util::Status(util::internal_error("shrink: injected fault"))
-                  : g_.vertex(cc.claim.vertex).schedule->rem_span(cc.span);
-    if (!st) {
-      bool rollback_ok = true;
-      for (std::size_t j : removed) rollback_ok &= readd(rec.claims[j]);
-      return util::internal_error(
-          "shrink: releasing " + g_.vertex(cc.claim.vertex).path +
-          " failed: " + st.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    removed.push_back(i);
+  for (std::size_t i = 0; i < rec.filter_spans.size(); ++i) {
+    p.release(Family::filter, i, rec.filter_spans[i].vertex);
   }
-  std::vector<CommittedClaim> original = rec.claims;
-  std::vector<CommittedClaim> kept;
-  kept.reserve(rec.claims.size() - drop_idx.size());
-  for (std::size_t i = 0; i < rec.claims.size(); ++i) {
-    if (!within(rec.claims[i].claim.vertex)) kept.push_back(rec.claims[i]);
-  }
-  rec.claims = std::move(kept);
-  // Shared-use marks under the released subtree stay in place: they cost
-  // nothing and conservatively keep the walked chain non-exclusive until
-  // the job ends.
-  if (auto st = rebuild_filter_spans(rec); !st) {
-    // rebuild restored the prior filter spans; restore the claims too.
-    rec.claims = std::move(original);
-    bool rollback_ok = true;
-    for (std::size_t i : removed) rollback_ok &= readd(rec.claims[i]);
-    if (!rollback_ok) {
-      return util::internal_error("shrink: " + st.error().message +
-                                  "; rollback incomplete");
-    }
-    return st;
-  }
-  for (std::size_t i : drop_idx) {
-    if (original[i].claim.covered) {
-      --g_.vertex(original[i].claim.vertex).covered_claims;
-    }
-  }
+  sdfu_loads(kept, rec);
+  const std::size_t loads = rec.filter_spans.size() - p.filters;
+  if (auto st = rebook(rec, "shrink"); !st) return st;
+  publish_sdfu(loads);
   refresh_resources(rec);
   return util::Status::ok();
 }
@@ -910,242 +948,43 @@ util::Status Traverser::extend_impl(JobId job, Duration extra) {
     }
   }
 
-  // Commit: replace each end-reaching span with a longer one (nothing can
-  // grab the vacated window in between — the engine is single-threaded).
-  // A failing swap means the state diverged from the feasibility probe:
-  // undo every completed swap and report corruption.
-  std::vector<CommittedClaim*> swapped_claims;
-  auto rollback_claims = [&]() {
-    bool ok = true;
-    for (CommittedClaim* cc : swapped_claims) {
-      planner::Planner& p = *g_.vertex(cc->claim.vertex).schedule;
-      ok &= static_cast<bool>(p.rem_span(cc->span));
-      cc->window.duration -= extra;
-      auto back = p.add_span(cc->window.start, cc->window.duration,
-                             cc->claim.units);
-      cc->span = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    return ok;
-  };
-  for (CommittedClaim& cc : rec.claims) {
-    if (cc.window.end() != old_end || cc.claim.covered) continue;
-    planner::Planner& p = *g_.vertex(cc.claim.vertex).schedule;
-    auto st = p.rem_span(cc.span);
-    auto span = st ? add_span_checked(p, "extend:claim", cc.window.start,
-                                      cc.window.duration + extra,
-                                      cc.claim.units)
-                   : util::Expected<planner::SpanId>(st.error());
-    if (!span) {
-      bool rollback_ok = true;
-      if (st) {  // old span removed but not replaced: put it back
-        auto back = p.add_span(cc.window.start, cc.window.duration,
-                               cc.claim.units);
-        cc.span = back ? *back : planner::kInvalidSpan;
-        rollback_ok = static_cast<bool>(back);
-      }
-      rollback_ok &= rollback_claims();
-      return util::internal_error(
-          "extend: schedule span swap failed on " + g_.vertex(cc.claim.vertex).path +
-          ": " + span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
+  // Commit: swap each span that reaches the job's end for one `extra`
+  // longer (nothing can grab the vacated window in between: the engine is
+  // single-threaded). Covered claims swap too, which only moves their
+  // window along with the claim that books them.
+  using Family = Rebook::Family;
+  Rebook& p = rebook_;
+  p.start(rec);
+  for (std::size_t i = 0; i < p.claims; ++i) {
+    CommittedClaim cc = rec.claims[i];
+    if (cc.window.end() != old_end) continue;
+    p.release(Family::claim, i, cc.claim.vertex);
     cc.window.duration += extra;
-    cc.span = *span;
-    swapped_claims.push_back(&cc);
+    p.add(rec, cc);
   }
-  struct SharedSwap {
-    std::pair<VertexId, planner::SpanId>* entry;
-    TimePoint start;
-    Duration old_d;
-  };
-  std::vector<SharedSwap> swapped_shared;
-  auto rollback_shared = [&]() {
-    bool ok = true;
-    for (const SharedSwap& sw : swapped_shared) {
-      planner::Planner& x = *g_.vertex(sw.entry->first).x_checker;
-      ok &= static_cast<bool>(x.rem_span(sw.entry->second));
-      auto back = x.add_span(sw.start, sw.old_d, 1);
-      sw.entry->second = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    return ok;
-  };
-  for (auto& entry : rec.shared_spans) {
-    planner::Planner& x = *g_.vertex(entry.first).x_checker;
-    const planner::Span* s = x.find_span(entry.second);
+  for (std::size_t i = 0; i < p.shared; ++i) {
+    const auto [v, id] = rec.shared_spans[i];
+    const planner::Span* s = g_.vertex(v).x_checker->find_span(id);
     FLUXION_CHECK(s != nullptr, "extend: shared-use span vanished mid-commit");
     if (s->last != old_end) continue;
-    const TimePoint start = s->start;
-    const Duration old_d = s->last - s->start;
-    auto st = x.rem_span(entry.second);
-    auto span = st ? add_span_checked(x, "extend:shared", start,
-                                      old_d + extra, 1)
-                   : util::Expected<planner::SpanId>(st.error());
-    if (!span) {
-      bool rollback_ok = true;
-      if (st) {
-        auto back = x.add_span(start, old_d, 1);
-        entry.second = back ? *back : planner::kInvalidSpan;
-        rollback_ok = static_cast<bool>(back);
-      }
-      rollback_ok &= rollback_shared();
-      rollback_ok &= rollback_claims();
-      return util::internal_error(
-          "extend: shared-use span swap failed on " + g_.vertex(entry.first).path +
-          ": " + span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    entry.second = *span;
-    swapped_shared.push_back({&entry, start, old_d});
+    p.release(Family::shared, i, v, {s->start, s->last - s->start});
+    p.add(rec, v, {s->start, s->last - s->start + extra});
   }
-  std::vector<FilterSpan*> swapped_filters;
-  auto rollback_filters = [&]() {
-    bool ok = true;
-    for (FilterSpan* fs : swapped_filters) {
-      planner::PlannerMulti& f = *g_.vertex(fs->vertex).filter;
-      ok &= static_cast<bool>(f.rem_span(fs->span));
-      fs->window.duration -= extra;
-      auto back = f.add_span(fs->window.start, fs->window.duration,
-                             fs->counts);
-      fs->span = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    return ok;
-  };
-  for (FilterSpan& fs : rec.filter_spans) {
+  for (std::size_t i = 0; i < p.filters; ++i) {
+    FilterSpan fs = rec.filter_spans[i];
     if (fs.window.end() != old_end) continue;
-    planner::PlannerMulti& f = *g_.vertex(fs.vertex).filter;
-    auto st = f.rem_span(fs.span);
-    auto span = st ? add_multi_checked(f, "extend:filter", fs.window.start,
-                                       fs.window.duration + extra, fs.counts)
-                   : util::Expected<planner::SpanId>(st.error());
-    if (!span) {
-      bool rollback_ok = true;
-      if (st) {
-        auto back = f.add_span(fs.window.start, fs.window.duration, fs.counts);
-        fs.span = back ? *back : planner::kInvalidSpan;
-        rollback_ok = static_cast<bool>(back);
-      }
-      rollback_ok &= rollback_filters();
-      rollback_ok &= rollback_shared();
-      rollback_ok &= rollback_claims();
-      return util::internal_error(
-          "extend: pruning filter span swap failed on " +
-          g_.vertex(fs.vertex).path + ": " + span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
+    p.release(Family::filter, i, fs.vertex);
     fs.window.duration += extra;
-    fs.span = *span;
-    swapped_filters.push_back(&fs);
+    p.add(rec, std::move(fs));
   }
-
+  if (auto st = rebook(rec, "extend"); !st) return st;
   // Bookkeeping only after the last fallible step, so a failure above
-  // leaves duration and release_times_ exactly as they were. Covered
-  // claims keep the window of the claim that books them.
-  for (CommittedClaim& cc : rec.claims) {
-    if (cc.claim.covered && cc.window.end() == old_end) {
-      cc.window.duration += extra;
-    }
-  }
+  // leaves duration and release_times_ exactly as they were.
   rec.result.duration += extra;
   if (auto rt = release_times_.find(old_end); rt != release_times_.end()) {
     if (--rt->second == 0) release_times_.erase(rt);
   }
   release_times_[old_end + extra] += 1;
-  return util::Status::ok();
-}
-
-util::Status Traverser::rebuild_filter_spans(JobRecord& rec) {
-  // Re-derive per (ancestor, window) — grow extensions may have distinct
-  // windows, so aggregate per pair.
-  std::map<std::pair<VertexId, TimePoint>,
-           std::pair<util::TimeWindow, std::vector<std::int64_t>>>
-      updates;
-  for (const CommittedClaim& cc : rec.claims) {
-    if (cc.claim.under_exclusive) continue;
-    std::map<util::InternId, std::int64_t> contribution;
-    if (cc.claim.whole_instance) {
-      contribution = g_.subtree_counts(cc.claim.vertex);
-    } else {
-      contribution[g_.vertex(cc.claim.vertex).type] = cc.claim.units;
-    }
-    for (VertexId a = cc.claim.vertex; a != graph::kInvalidVertex;
-         a = g_.vertex(a).containment_parent) {
-      const planner::PlannerMulti* filter = g_.vertex(a).filter.get();
-      if (filter == nullptr) continue;
-      auto& entry = updates[{a, cc.window.start}];
-      entry.first = cc.window;
-      entry.second.resize(filter->resource_count(), 0);
-      for (const auto& [type, amount] : contribution) {
-        if (auto idx = filter->index_of_id(type)) entry.second[*idx] += amount;
-      }
-    }
-  }
-  // Swap the old span set for the new one transactionally: tear down the
-  // old spans (kept aside with their windows and counts), add the new
-  // ones, and on any failure restore the exact prior set.
-  std::vector<FilterSpan> old = std::move(rec.filter_spans);
-  rec.filter_spans.clear();
-  auto restore_old = [&]() {
-    bool ok = true;
-    for (FilterSpan& fs : rec.filter_spans) {
-      ok &= static_cast<bool>(g_.vertex(fs.vertex).filter->rem_span(fs.span));
-    }
-    rec.filter_spans.clear();
-    for (FilterSpan& fs : old) {
-      auto back = g_.vertex(fs.vertex).filter->add_span(
-          fs.window.start, fs.window.duration, fs.counts);
-      fs.span = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    rec.filter_spans = std::move(old);
-    return ok;
-  };
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    auto st = g_.vertex(old[i].vertex).filter->rem_span(old[i].span);
-    if (!st) {
-      const std::string path = g_.vertex(old[i].vertex).path;
-      const std::string inner = st.error().message;
-      // Entries before i were removed and must come back; entries from i
-      // on (including the failed one) still hold live spans.
-      bool rollback_ok = true;
-      for (std::size_t j = 0; j < i; ++j) {
-        auto back = g_.vertex(old[j].vertex).filter->add_span(
-            old[j].window.start, old[j].window.duration, old[j].counts);
-        old[j].span = back ? *back : planner::kInvalidSpan;
-        rollback_ok &= static_cast<bool>(back);
-      }
-      rec.filter_spans = std::move(old);
-      return util::internal_error(
-          "rebuild_filter_spans: removing the filter span at " + path +
-          " failed: " + inner + (rollback_ok ? "" : "; rollback incomplete"));
-    }
-  }
-  for (auto& [key, entry] : updates) {
-    if (std::all_of(entry.second.begin(), entry.second.end(),
-                    [](std::int64_t c) { return c == 0; })) {
-      continue;
-    }
-    auto span = add_multi_checked(*g_.vertex(key.first).filter, "rebuild:add",
-                                  entry.first.start, entry.first.duration,
-                                  entry.second);
-    if (!span) {
-      const std::string path = g_.vertex(key.first).path;
-      const bool rollback_ok = restore_old();
-      return util::internal_error(
-          "rebuild_filter_spans: filter span rejected at " + path + ": " +
-          span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    rec.filter_spans.push_back({key.first, *span, entry.first, entry.second});
-  }
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    m.sdfu_commits.inc();
-    m.sdfu_spans.inc(rec.filter_spans.size());
-    m.sdfu_spans_per_commit.add(static_cast<double>(rec.filter_spans.size()));
-  }
   return util::Status::ok();
 }
 
@@ -1615,16 +1454,9 @@ util::Status Traverser::extend(JobId job, Duration extra) {
 std::vector<JobId> Traverser::jobs_on_subtree(VertexId vertex) const {
   std::vector<JobId> out;
   if (vertex >= g_.vertex_count()) return out;
-  const std::string& prefix = g_.vertex(vertex).path;
-  auto within = [&](VertexId v) {
-    const std::string& p = g_.vertex(v).path;
-    return p == prefix || (p.size() > prefix.size() &&
-                           p.compare(0, prefix.size(), prefix) == 0 &&
-                           p[prefix.size()] == '/');
-  };
   for (const auto& [id, rec] : jobs_) {
     for (const CommittedClaim& cc : rec.claims) {
-      if (within(cc.claim.vertex)) {
+      if (g_.in_subtree(cc.claim.vertex, vertex)) {
         out.push_back(id);
         break;
       }
@@ -1702,30 +1534,16 @@ util::Status Traverser::run_audit(const char* op) const {
   return util::Status::ok();
 }
 
-bool Traverser::fault_fires(const char* point) {
-  if (fault_point_.empty() || fault_point_ != point) return false;
+bool Traverser::fault_fires(const char* op, const char* step) {
+  if (fault_point_.empty()) return false;
+  const std::string_view point = fault_point_;
+  const std::string_view o = op;
+  if (!point.starts_with(o) || point.size() <= o.size() ||
+      point[o.size()] != ':' || point.substr(o.size() + 1) != step) {
+    return false;
+  }
   fault_point_.clear();
   return true;
-}
-
-util::Expected<planner::SpanId> Traverser::add_span_checked(
-    planner::Planner& p, const char* point, TimePoint start, Duration d,
-    std::int64_t amount) {
-  if (fault_fires(point)) {
-    return util::Error{Errc::resource_busy,
-                       std::string("injected fault at ") + point};
-  }
-  return p.add_span(start, d, amount);
-}
-
-util::Expected<planner::SpanId> Traverser::add_multi_checked(
-    planner::PlannerMulti& p, const char* point, TimePoint start, Duration d,
-    const std::vector<std::int64_t>& counts) {
-  if (fault_fires(point)) {
-    return util::Error{Errc::resource_busy,
-                       std::string("injected fault at ") + point};
-  }
-  return p.add_span(start, d, counts);
 }
 
 const MatchResult* Traverser::find_job(JobId job) const {
@@ -1766,16 +1584,7 @@ bool Traverser::verify_filters() const {
             if (!cc.window.contains(t)) continue;
             const Claim& c = cc.claim;
             if (c.under_exclusive) continue;
-            // Is c.vertex inside fid's subtree?
-            bool inside = false;
-            for (VertexId a = c.vertex; a != graph::kInvalidVertex;
-                 a = g_.vertex(a).containment_parent) {
-              if (a == fid) {
-                inside = true;
-                break;
-              }
-            }
-            if (!inside) continue;
+            if (!g_.in_subtree(c.vertex, fid)) continue;
             if (c.whole_instance) {
               const auto counts = g_.subtree_counts(c.vertex);
               if (auto it2 = counts.find(*type); it2 != counts.end()) {

@@ -37,6 +37,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -224,10 +225,10 @@ class Traverser {
   /// Active (allocated or reserved) job count.
   std::size_t job_count() const noexcept { return jobs_.size(); }
 
-  /// Jobs holding at least one claim on `vertex` or below it (containment
-  /// path prefix), in ascending id order — the set a dynamic down/shrink
-  /// must evict. Reserved jobs are included: their planned spans block the
-  /// subtree just like running ones.
+  /// Jobs holding at least one claim on `vertex` or below it
+  /// (ResourceGraph::in_subtree), in ascending id order — the set a
+  /// dynamic down/shrink must evict. Reserved jobs are included: their
+  /// planned spans block the subtree just like running ones.
   std::vector<JobId> jobs_on_subtree(VertexId vertex) const;
 
   /// Look up a job's committed window; nullptr when unknown.
@@ -315,9 +316,10 @@ class Traverser {
 
   /// Test hook: make the next internal planner operation tagged `point`
   /// fail, driving the rollback paths that no public call sequence can
-  /// reach (they only fire on state corruption). Points: "apply:claim",
-  /// "apply:shared", "apply:filter", "rebuild:add", "shrink:rem",
-  /// "extend:claim", "extend:shared", "extend:filter".
+  /// reach (they only fire on state corruption). Points are
+  /// "<op>:<step>" for op apply (match, grow, restore), shrink or extend,
+  /// and step rem (release a span) or claim / shared / filter (book a
+  /// schedule, shared-use or pruning-filter span); see rebook().
   void fail_next(std::string point) { fault_point_ = std::move(point); }
 
  private:
@@ -335,8 +337,8 @@ class Traverser {
   };
 
   /// One committed pruning-filter span. Window and counts are recorded so
-  /// failed rebuilds/extensions can restore the exact prior span (the
-  /// planner retires span ids on removal).
+  /// a rebook can swap or restore the exact span (the planner retires span
+  /// ids on removal).
   struct FilterSpan {
     VertexId vertex;
     planner::SpanId span;
@@ -350,6 +352,51 @@ class Traverser {
     // (vertex, span) pairs to undo on cancel.
     std::vector<std::pair<VertexId, planner::SpanId>> shared_spans;
     std::vector<FilterSpan> filter_spans;
+  };
+
+  /// The plan of one rebook() of a JobRecord, across its three span
+  /// families: each step releases the booking of one record slot or books
+  /// one new slot. New slots are appended to the record as they are
+  /// planned, past the sizes start() noted. Kept as a member and restarted
+  /// per use, so the commit path reuses its capacity.
+  struct Rebook {
+    enum class Family : std::uint8_t { claim, shared, filter };
+    struct Step {
+      Family family;
+      bool add;          // book slot `slot`, else release it
+      std::size_t slot;  // index into the record's vector of `family`
+      VertexId vertex;
+      util::TimeWindow window;  // shared-use marks: the record keeps none
+    };
+    std::vector<Step> steps;
+    std::size_t claims = 0, shared = 0, filters = 0;  // sizes at start()
+
+    void start(const JobRecord& rec) {
+      steps.clear();
+      claims = rec.claims.size();
+      shared = rec.shared_spans.size();
+      filters = rec.filter_spans.size();
+    }
+    void release(Family f, std::size_t slot, VertexId v,
+                 util::TimeWindow w = {}) {
+      steps.push_back({f, false, slot, v, w});
+    }
+    void add(JobRecord& rec, const CommittedClaim& cc) {
+      if (!cc.claim.covered) {  // a covered claim books no span
+        steps.push_back(
+            {Family::claim, true, rec.claims.size(), cc.claim.vertex, {}});
+      }
+      rec.claims.push_back(cc);
+    }
+    void add(JobRecord& rec, VertexId mark, const util::TimeWindow& w) {
+      steps.push_back({Family::shared, true, rec.shared_spans.size(), mark, w});
+      rec.shared_spans.emplace_back(mark, planner::kInvalidSpan);
+    }
+    void add(JobRecord& rec, FilterSpan fs) {
+      steps.push_back(
+          {Family::filter, true, rec.filter_spans.size(), fs.vertex, {}});
+      rec.filter_spans.push_back(std::move(fs));
+    }
   };
 
   // --- selection (probe path: const, scratch-backed) ------------------------
@@ -440,15 +487,30 @@ class Traverser {
                                                TimePoint now, Selection& sel);
   /// Fold a consumed probe's stats delta into the lifetime counters.
   void fold_stats(const TraverserStats& d) noexcept;
-  /// Turn a selection into committed spans appended to `rec` (schedule,
-  /// shared-use and pruning-filter spans). Rolls `rec` back to its prior
-  /// length on failure.
+  /// Book a selection over `w` into `rec`: its claims, shared-use marks
+  /// and SDFU filter loads, as one rebook that only adds. On failure `rec`
+  /// and the planners are as before and the error is Errc::internal.
   util::Status apply_selection(JobRecord& rec, const util::TimeWindow& w,
                                const Selection& sel);
-  /// Drop and re-derive every pruning-filter span from rec.claims.
-  /// Transactional: on failure the prior filter spans are restored and an
-  /// Errc::internal error is returned.
-  util::Status rebuild_filter_spans(JobRecord& rec);
+  /// Scheduler-Driven Filter Update loads (paper §3.4): what `claims`
+  /// consume beneath each ancestor that has a pruning filter, summed per
+  /// (ancestor, window) and added to rebook_ (and `rec`) in that order.
+  /// All-zero loads are skipped, and so are claims under an exclusive
+  /// claim of their own job, which the enclosing whole instance already
+  /// counts.
+  void sdfu_loads(std::span<const CommittedClaim> claims, JobRecord& rec);
+  /// The one way to change a record's bookings: run rebook_'s steps in
+  /// order. On success the released slots leave `rec`. On the first
+  /// failure the steps done so far are undone in reverse, re-booked slots
+  /// get their new span ids, the planned slots leave `rec` again, and the
+  /// error is Errc::internal, ending "; rollback incomplete" when an undo
+  /// step fails too. Fault points: "<op>:rem" on a release,
+  /// "<op>:claim|shared|filter" on a booking.
+  util::Status rebook(JobRecord& rec, const char* op);
+  /// Run one rebook step forward (`book` == s.add) or back; injects the
+  /// pending fault when `op` is set.
+  util::Status rebook_step(JobRecord& rec, const Rebook::Step& s, bool book,
+                           const char* op);
   /// Recompute rec.result.resources from rec.claims.
   void refresh_resources(JobRecord& rec) const;
   /// Release every span held by rec (best effort: keeps going past a
@@ -488,17 +550,9 @@ class Traverser {
   util::Status extend_impl(JobId job, Duration extra);
 
   util::Status run_audit(const char* op) const;
-  /// True when the pending injected fault (fail_next) matches `point`;
+  /// True when the pending injected fault (fail_next) is "<op>:<step>";
   /// consumes it.
-  bool fault_fires(const char* point);
-  /// add_span with an injection point for the fault hook.
-  util::Expected<planner::SpanId> add_span_checked(planner::Planner& p,
-                                                   const char* point,
-                                                   TimePoint start, Duration d,
-                                                   std::int64_t amount);
-  util::Expected<planner::SpanId> add_multi_checked(
-      planner::PlannerMulti& p, const char* point, TimePoint start, Duration d,
-      const std::vector<std::int64_t>& counts);
+  bool fault_fires(const char* op, const char* step);
 
   graph::ResourceGraph& g_;
   VertexId root_;
@@ -507,6 +561,7 @@ class Traverser {
   std::map<TimePoint, int> release_times_;
   TraverserStats stats_;
   MatchScratch scratch_;  // serial path (match/grow) scratch
+  Rebook rebook_;         // the plan of the rebook in flight
   TraversalMode mode_ = TraversalMode::scored;
   std::uint64_t mutation_epoch_ = 0;
   bool audit_enabled_ = false;

@@ -75,6 +75,16 @@ TEST_F(SmallCluster, SubtreeCounts) {
   EXPECT_EQ(all.at(core_t), 16);
 }
 
+TEST_F(SmallCluster, InSubtreeFollowsContainmentParents) {
+  const VertexId core = g.containment_children(nodes[0]).front();
+  EXPECT_TRUE(g.in_subtree(core, core));
+  EXPECT_TRUE(g.in_subtree(core, nodes[0]));
+  EXPECT_TRUE(g.in_subtree(core, cluster));
+  EXPECT_FALSE(g.in_subtree(nodes[0], core));
+  EXPECT_FALSE(g.in_subtree(core, nodes[1]));
+  EXPECT_FALSE(g.in_subtree(nodes[2], racks[0]));
+}
+
 TEST_F(SmallCluster, PerVertexPlannersInitialized) {
   const Vertex& n = g.vertex(nodes[0]);
   ASSERT_NE(n.schedule, nullptr);

@@ -9,6 +9,7 @@
 
 #include "grug/grug.hpp"
 #include "jobspec/jobspec.hpp"
+#include "planner_state.hpp"
 #include "policy/policies.hpp"
 #include "snapshot/snapshot.hpp"
 #include "traverser/traverser.hpp"
@@ -75,6 +76,11 @@ class CoveredClaims : public ::testing::Test {
     return util::internal_error_count() - baseline_internal_;
   }
 
+  /// Full planner state, compared across each injected fault.
+  testing_support::PlannerState state() const {
+    return testing_support::planner_state(g, *trav);
+  }
+
   graph::ResourceGraph g;
   policy::LowIdPolicy pol;
   std::unique_ptr<Traverser> trav;
@@ -134,10 +140,12 @@ TEST_F(CoveredClaims, ShrinkOfACoveredCoreRollsBackAndThenApplies) {
   const VertexId core = held(1, "core").front();
   const VertexId node = g.vertex(core).containment_parent;
 
-  trav->fail_next("rebuild:add");
+  auto before = state();
+  trav->fail_next("shrink:filter");
   auto st = trav->shrink(1, core);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
+  EXPECT_EQ(state(), before);
   EXPECT_EQ(held(1, "core").size(), 8u);
   EXPECT_EQ(g.vertex(core).covered_claims, 1);
   EXPECT_TRUE(trav->audit());
@@ -150,10 +158,12 @@ TEST_F(CoveredClaims, ShrinkOfACoveredCoreRollsBackAndThenApplies) {
 
   // Releasing the node under a fault restores both the node's span and
   // the covered cores beneath it.
+  before = state();
   trav->fail_next("shrink:rem");
   st = trav->shrink(1, node);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
+  EXPECT_EQ(state(), before);
   EXPECT_EQ(held(1, "node").size(), 2u);
   EXPECT_EQ(covered_total(), 7);
   EXPECT_TRUE(trav->audit());
@@ -166,7 +176,9 @@ TEST_F(CoveredClaims, ShrinkOfACoveredCoreRollsBackAndThenApplies) {
 
 TEST_F(CoveredClaims, ExtendWithCoveredClaimsRollsBackOnEachFault) {
   ASSERT_TRUE(trav->match(whole_nodes(2, 100), MatchOp::allocate, 0, 1));
-  for (const char* point : {"extend:claim", "extend:shared", "extend:filter"}) {
+  const auto before = state();
+  for (const char* point :
+       {"extend:rem", "extend:claim", "extend:shared", "extend:filter"}) {
     trav->fail_next(point);
     auto st = trav->extend(1, 50);
     ASSERT_FALSE(st) << point;
@@ -174,6 +186,7 @@ TEST_F(CoveredClaims, ExtendWithCoveredClaimsRollsBackOnEachFault) {
     EXPECT_EQ(trav->find_job(1)->duration, 100) << point;
     // The audit checks that covered claims share their node's window.
     EXPECT_TRUE(trav->audit()) << point;
+    EXPECT_EQ(state(), before) << point;
   }
   auto ok = trav->extend(1, 50);
   ASSERT_TRUE(ok) << ok.error().message;

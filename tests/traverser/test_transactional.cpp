@@ -4,11 +4,13 @@
 // internal planner operation fails mid-flight. The unreachable-by-API
 // failure branches are driven with the fail_next() fault-injection hook;
 // the reachable ones (filter/schedule rejections) are driven through the
-// public API alone.
+// public API alone. Each failed call must leave the full planner state
+// (testing_support::planner_state) exactly as it found it.
 #include <gtest/gtest.h>
 
 #include "grug/grug.hpp"
 #include "jobspec/jobspec.hpp"
+#include "planner_state.hpp"
 #include "policy/policies.hpp"
 #include "traverser/traverser.hpp"
 #include "util/check.hpp"
@@ -44,6 +46,10 @@ class Transactional : public ::testing::Test {
     return g.vertices_of_type(*g.find_type(type)).front();
   }
 
+  testing_support::PlannerState state() const {
+    return testing_support::planner_state(g, *trav);
+  }
+
   std::int64_t nodes_held(JobId id) const {
     const MatchResult* r = trav->find_job(id);
     std::int64_t n = 0;
@@ -72,10 +78,12 @@ TEST_F(Transactional, ExtendScheduleRejectionLeavesStateIntact) {
   ASSERT_TRUE(trav->match(*blocker, MatchOp::allocate_orelse_reserve, 0, 2));
   ASSERT_EQ(trav->find_job(2)->at, 100);
 
+  const auto before = state();
   auto st = trav->extend(1, 50);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::resource_busy);
   EXPECT_EQ(trav->find_job(1)->duration, 100);
+  EXPECT_EQ(state(), before);
   EXPECT_TRUE(trav->audit());
   EXPECT_EQ(new_internal_errors(), 0u);
 
@@ -104,10 +112,12 @@ TEST_F(Transactional, ExtendFilterRejectionHappensBeforeAnyMutation) {
   auto foreign = filter.add_span(100, 50, all);
   ASSERT_TRUE(foreign) << foreign.error().message;
 
+  const auto before = state();
   auto st = trav->extend(1, 50);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::resource_busy);
   EXPECT_EQ(new_internal_errors(), 0u);
+  EXPECT_EQ(state(), before);
   // Nothing moved: window, schedule availability and the job record are
   // exactly as before the call.
   EXPECT_EQ(trav->find_job(1)->duration, 100);
@@ -129,12 +139,14 @@ TEST_F(Transactional, ExtendFilterRejectionHappensBeforeAnyMutation) {
 TEST_F(Transactional, MatchRollsBackOnClaimFault) {
   auto js = make({slot(2, {xres("node", 1, {res("core", 4)})})}, 100);
   ASSERT_TRUE(js);
+  const auto before = state();
   trav->fail_next("apply:claim");
   auto r = trav->match(*js, MatchOp::allocate, 0, 1);
   ASSERT_FALSE(r);
   EXPECT_EQ(r.error().code, Errc::internal);
   EXPECT_GE(new_internal_errors(), 1u);
   EXPECT_EQ(trav->job_count(), 0u);
+  EXPECT_EQ(state(), before);
   EXPECT_TRUE(trav->audit());
   auto ok = trav->match(*js, MatchOp::allocate, 0, 1);
   ASSERT_TRUE(ok) << ok.error().message;
@@ -144,12 +156,14 @@ TEST_F(Transactional, MatchRollsBackOnClaimFault) {
 TEST_F(Transactional, MatchRollsBackOnSharedAndFilterFaults) {
   auto js = make({slot(1, {xres("node", 1, {res("core", 2)})})}, 100);
   ASSERT_TRUE(js);
+  const auto before = state();
   for (const char* point : {"apply:shared", "apply:filter"}) {
     trav->fail_next(point);
     auto r = trav->match(*js, MatchOp::allocate, 0, 7);
     ASSERT_FALSE(r) << point;
     EXPECT_EQ(r.error().code, Errc::internal) << point;
     EXPECT_EQ(trav->job_count(), 0u) << point;
+    EXPECT_EQ(state(), before) << point;
     EXPECT_TRUE(trav->audit()) << point;
   }
   EXPECT_GE(new_internal_errors(), 2u);
@@ -163,11 +177,13 @@ TEST_F(Transactional, GrowRollsBackAndKeepsOriginalAllocation) {
   ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
   auto extra = make({slot(1, {xres("node", 1, {res("core", 4)})})}, 100);
   ASSERT_TRUE(extra);
+  const auto before = state();
   trav->fail_next("apply:claim");
   auto r = trav->grow(1, *extra, 0);
   ASSERT_FALSE(r);
   EXPECT_EQ(r.error().code, Errc::internal);
   EXPECT_EQ(nodes_held(1), 1);  // original allocation untouched
+  EXPECT_EQ(state(), before);
   EXPECT_TRUE(trav->audit());
   auto ok = trav->grow(1, *extra, 0);
   ASSERT_TRUE(ok) << ok.error().message;
@@ -182,11 +198,13 @@ TEST_F(Transactional, RestoreRollsBackToEmpty) {
   ASSERT_TRUE(r);
   const MatchResult allocation = *r;
   ASSERT_TRUE(trav->cancel(1));
+  const auto before = state();
   trav->fail_next("apply:filter");
   auto again = trav->restore(allocation);
   ASSERT_FALSE(again);
   EXPECT_EQ(again.error().code, Errc::internal);
   EXPECT_EQ(trav->job_count(), 0u);
+  EXPECT_EQ(state(), before);
   EXPECT_TRUE(trav->audit());
   auto ok = trav->restore(allocation);
   ASSERT_TRUE(ok) << ok.error().message;
@@ -198,11 +216,13 @@ TEST_F(Transactional, ShrinkRollsBackOnRemovalFault) {
   ASSERT_TRUE(js);
   ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
   const VertexId node = trav->find_job(1)->resources.front().vertex;
+  const auto before = state();
   trav->fail_next("shrink:rem");
   auto st = trav->shrink(1, node);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
   EXPECT_EQ(nodes_held(1), 2);  // claims restored
+  EXPECT_EQ(state(), before);
   EXPECT_TRUE(trav->audit());
   ASSERT_TRUE(trav->shrink(1, node));
   EXPECT_EQ(nodes_held(1), 1);
@@ -214,12 +234,14 @@ TEST_F(Transactional, ShrinkRollsBackOnFilterRebuildFault) {
   ASSERT_TRUE(js);
   ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
   const VertexId node = trav->find_job(1)->resources.front().vertex;
-  trav->fail_next("rebuild:add");
+  const auto before = state();
+  trav->fail_next("shrink:filter");
   auto st = trav->shrink(1, node);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
   // The dropped schedule spans and the prior filter spans are all back.
   EXPECT_EQ(nodes_held(1), 2);
+  EXPECT_EQ(state(), before);
   EXPECT_TRUE(trav->audit());
   ASSERT_TRUE(trav->shrink(1, node));
   EXPECT_EQ(nodes_held(1), 1);
@@ -230,15 +252,18 @@ TEST_F(Transactional, ExtendRollsBackOnEachSwapFault) {
   auto js = make({slot(1, {xres("node", 1, {res("core", 4)})})}, 100);
   ASSERT_TRUE(js);
   ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
-  for (const char* point : {"extend:claim", "extend:shared", "extend:filter"}) {
+  const auto before = state();
+  for (const char* point :
+       {"extend:rem", "extend:claim", "extend:shared", "extend:filter"}) {
     trav->fail_next(point);
     auto st = trav->extend(1, 50);
     ASSERT_FALSE(st) << point;
     EXPECT_EQ(st.error().code, Errc::internal) << point;
     EXPECT_EQ(trav->find_job(1)->duration, 100) << point;
     EXPECT_TRUE(trav->audit()) << point;
+    EXPECT_EQ(state(), before) << point;
   }
-  EXPECT_GE(new_internal_errors(), 3u);
+  EXPECT_GE(new_internal_errors(), 4u);
   auto ok = trav->extend(1, 50);
   ASSERT_TRUE(ok) << ok.error().message;
   EXPECT_EQ(trav->find_job(1)->duration, 150);
@@ -258,11 +283,13 @@ TEST_F(Transactional, ExtendAfterShrinkAndGrowStaysTransactional) {
   ASSERT_TRUE(trav->grow(1, *extra, 40));
   ASSERT_TRUE(trav->audit());
 
+  const auto before = state();
   trav->fail_next("extend:filter");
   auto st = trav->extend(1, 50);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
   EXPECT_EQ(trav->find_job(1)->duration, 100);
+  EXPECT_EQ(state(), before);
   EXPECT_TRUE(trav->audit());
   ASSERT_TRUE(trav->extend(1, 50));
   EXPECT_EQ(trav->find_job(1)->duration, 150);
@@ -322,8 +349,10 @@ TEST_F(Transactional, CancelReportsCorruptionButStillReleases) {
 TEST_F(Transactional, FaultHookIsConsumedOnce) {
   auto js = make({slot(1, {xres("node", 1, {res("core", 4)})})}, 100);
   ASSERT_TRUE(js);
+  const auto before = state();
   trav->fail_next("apply:claim");
   ASSERT_FALSE(trav->match(*js, MatchOp::allocate, 0, 1));
+  EXPECT_EQ(state(), before);
   // The hook fired and cleared itself; the retry is clean.
   auto ok = trav->match(*js, MatchOp::allocate, 0, 1);
   ASSERT_TRUE(ok) << ok.error().message;
