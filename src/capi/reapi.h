@@ -159,7 +159,7 @@ reapi_status_t reapi_metrics_clear(void);
 
 /* --- Federated hierarchical scheduling (paper §5.6).
  * A federation partitions the machine into `children` child instances
- * (via coarse whole-node grants serialized through JGF), routes
+ * (via coarse whole-node grants copied out of the root graph), routes
  * submitted jobspecs asynchronously to per-child queues, optionally
  * rebalances by stealing queued jobs, and escalates jobs no child can
  * satisfy to the root. children <= 1 degenerates to the flat engine.

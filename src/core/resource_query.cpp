@@ -9,18 +9,11 @@ namespace fluxion::core {
 
 util::Expected<std::unique_ptr<ResourceQuery>> ResourceQuery::create(
     const grug::Recipe& recipe, const Options& options) {
-  auto rq = std::unique_ptr<ResourceQuery>(new ResourceQuery);
-  rq->graph_ = std::make_unique<graph::ResourceGraph>(options.plan_start,
+  auto graph = std::make_unique<graph::ResourceGraph>(options.plan_start,
                                                       options.horizon);
-  auto root = grug::build(*rq->graph_, recipe);
+  auto root = grug::build(*graph, recipe);
   if (!root) return root.error();
-  rq->root_ = *root;
-  auto pol = policy::create(options.policy);
-  if (!pol) return pol.error();
-  rq->policy_ = std::move(*pol);
-  rq->traverser_ = std::make_unique<traverser::Traverser>(
-      *rq->graph_, rq->root_, *rq->policy_);
-  return rq;
+  return create_from_graph(std::move(graph), *root, options);
 }
 
 util::Expected<std::unique_ptr<ResourceQuery>> ResourceQuery::create_from_text(
@@ -37,19 +30,27 @@ util::Expected<std::unique_ptr<ResourceQuery>> ResourceQuery::create_from_jgf(
   auto parsed =
       writers::read_jgf(jgf_text, options.plan_start, options.horizon);
   if (!parsed) return parsed.error();
+  return create_from_graph(std::move(parsed->graph), parsed->root, options,
+                           filter_types, filter_at);
+}
+
+util::Expected<std::unique_ptr<ResourceQuery>> ResourceQuery::create_from_graph(
+    std::unique_ptr<graph::ResourceGraph> graph, graph::VertexId root,
+    const Options& options, const std::vector<std::string>& filter_types,
+    const std::vector<std::string>& filter_at) {
   auto rq = std::unique_ptr<ResourceQuery>(new ResourceQuery);
-  rq->graph_ = std::move(parsed->graph);
-  rq->root_ = parsed->root;
+  rq->graph_ = std::move(graph);
+  rq->root_ = root;
   if (!filter_types.empty() && filter_at.empty()) {
     // Silently installing no filters would disable pruning while the
     // caller believes it is on — reject the half-configured request.
     return util::Error{util::Errc::invalid_argument,
-                       "create_from_jgf: filter types given but no "
+                       "create_from_graph: filter types given but no "
                        "filter-at anchor types"};
   }
   if (filter_types.empty() && !filter_at.empty()) {
     return util::Error{util::Errc::invalid_argument,
-                       "create_from_jgf: filter-at anchor types given but "
+                       "create_from_graph: filter-at anchor types given but "
                        "no filter types to track"};
   }
   if (!filter_types.empty()) {
@@ -62,8 +63,8 @@ util::Expected<std::unique_ptr<ResourceQuery>> ResourceQuery::create_from_jgf(
       const auto type = rq->graph_->find_type(at);
       if (!type) {
         return util::Error{util::Errc::invalid_argument,
-                           "create_from_jgf: unknown filter-at type '" + at +
-                               "' (not present in the JGF graph)"};
+                           "create_from_graph: unknown filter-at type '" +
+                               at + "' (not present in the graph)"};
       }
       for (auto v : rq->graph_->vertices_of_type(*type)) {
         if (auto st = rq->graph_->install_filter(v, types); !st) {

@@ -45,15 +45,24 @@ class ResourceQuery {
   static util::Expected<std::unique_ptr<ResourceQuery>> create_from_text(
       std::string_view grug_text, const Options& options = {});
 
-  /// As create(), but from a JSON Graph Format document (e.g. a parent
-  /// instance's grant, paper §5.6). Pruning filters are installed at the
-  /// vertex types named in `filter_at` over the types in `filter_types`.
+  /// As create_from_graph(), over the graph read from a JSON Graph Format
+  /// document (writers::read_jgf) with the options' planning horizon.
+  static util::Expected<std::unique_ptr<ResourceQuery>> create_from_jgf(
+      std::string_view jgf_text, const Options& options = {},
+      const std::vector<std::string>& filter_types = {},
+      const std::vector<std::string>& filter_at = {});
+
+  /// Wrap a built graph rooted at `root` (e.g. a parent instance's grant,
+  /// paper §5.6) with the options' policy and a traverser. Pruning
+  /// filters go on every vertex of the `filter_at` types, over the types
+  /// in `filter_types`.
   /// `filter_types` and `filter_at` must both be empty (no pruning) or
   /// both be non-empty, and every `filter_at` type must exist in the
   /// graph; anything else fails with invalid_argument rather than
   /// silently disabling pruning.
-  static util::Expected<std::unique_ptr<ResourceQuery>> create_from_jgf(
-      std::string_view jgf_text, const Options& options = {},
+  static util::Expected<std::unique_ptr<ResourceQuery>> create_from_graph(
+      std::unique_ptr<graph::ResourceGraph> graph, graph::VertexId root,
+      const Options& options = {},
       const std::vector<std::string>& filter_types = {},
       const std::vector<std::string>& filter_at = {});
 

@@ -118,13 +118,35 @@ util::Status ResourceGraph::add_containment(VertexId parent, VertexId child) {
   // The parent chain of a forest ends, so this walk is O(depth); an edge
   // closing a cycle would send repath and bump_ancestor_non_up round it
   // forever.
+  std::size_t depth = 0;
   for (VertexId a = parent; a != kInvalidVertex;
-       a = vertices_[a].containment_parent) {
+       a = vertices_[a].containment_parent, ++depth) {
     if (a == child) {
       return util::Error{Errc::invalid_argument,
                          "add_containment: edge would form a containment "
                          "cycle"};
     }
+  }
+  // `depth` counts parent itself, so the child lands at level `depth` and
+  // the deepest vertex below it at `depth` + the height of its subtree.
+  std::size_t height = 0;
+  std::vector<std::pair<VertexId, std::size_t>> stack{{child, 0}};
+  while (!stack.empty()) {
+    const auto [u, level] = stack.back();
+    stack.pop_back();
+    height = std::max(height, level);
+    for (const Edge& e : out_[u]) {
+      if (e.relation == contains_ && e.subsystem == containment_ &&
+          vertices_[e.dst].alive) {
+        stack.emplace_back(e.dst, level + 1);
+      }
+    }
+  }
+  if (depth + height > kMaxContainmentDepth) {
+    return util::Error{Errc::invalid_argument,
+                       "add_containment: edge would nest containment deeper "
+                       "than " + std::to_string(kMaxContainmentDepth) +
+                           " levels"};
   }
   if (auto st = add_edge(parent, child, containment_, contains_); !st) {
     return st;

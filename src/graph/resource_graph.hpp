@@ -46,6 +46,11 @@ using util::TimePoint;
 using VertexId = std::uint32_t;
 inline constexpr VertexId kInvalidVertex = UINT32_MAX;
 
+/// Most `contains` edges between a vertex and its root, as for
+/// yaml::kMaxNestingDepth: every vertex stores its full path, so a chain
+/// costs O(depth^2) bytes.
+inline constexpr std::size_t kMaxContainmentDepth = 256;
+
 /// Shared-use counter capacity: effectively unbounded concurrency for
 /// shared walks, while still window-trackable in a Planner.
 inline constexpr std::int64_t kSharedUseMax = 1 << 30;
@@ -154,8 +159,9 @@ class ResourceGraph {
   /// Containment convenience: parent -contains-> child, child -in-> parent,
   /// sets the child's containment path and parent pointer. Keeps
   /// containment a forest: a child that already has a parent fails with
-  /// `exists`; a self edge, or a child that is an ancestor of `parent`,
-  /// fails with `invalid_argument`. Both are refused before any mutation.
+  /// `exists`; a self edge, a child that is an ancestor of `parent`, or a
+  /// vertex ending deeper than kMaxContainmentDepth fails with
+  /// `invalid_argument`. All are refused before any mutation.
   util::Status add_containment(VertexId parent, VertexId child);
 
   /// Install a pruning filter at `v` tracking the subtree totals of
@@ -285,6 +291,12 @@ class ResourceGraph {
   std::size_t multi_parent_ = 0;
   std::size_t status_counts_[kStatusCount] = {0, 0, 0};
   std::int64_t next_uniq_id_ = 0;
+};
+
+/// A freshly built graph and its containment root (its parentless vertex).
+struct RootedGraph {
+  std::unique_ptr<ResourceGraph> graph;
+  VertexId root = kInvalidVertex;
 };
 
 }  // namespace fluxion::graph

@@ -98,7 +98,7 @@ util::Expected<std::unique_ptr<Federation>> Federation::create(
 
   if (fed->cfg_.children <= 1) {
     // Degenerate flat federation: the sole member IS the root engine —
-    // no grant, no JGF rebuild, no member label — so placements and the
+    // no grant, no child graph, no member label — so placements and the
     // member eventlog are byte-identical to a plain JobQueue.
     fed->leaves_ = 1;
     add_member("root", fed->root_.get(), total_nodes, /*is_root=*/true,

@@ -8,12 +8,12 @@
 // Topology. `children` leaf partitions per level, `levels` deep:
 // levels == 1 is root + K leaves; levels == 2 spawns K mid instances
 // which each spawn K leaves (children^levels leaf queues), exercising
-// the grant -> JGF -> child-graph chain at every hop. Each leaf owns
+// the grant -> copied child-graph chain at every hop. Each leaf owns
 // `nodes_per_leaf` whole nodes (auto: floor(total / leaves)); whatever
 // the grants do not cover stays with the root, whose own queue serves
 // escalated jobs. With children <= 1 the federation degenerates to the
-// flat engine: the sole member *is* the root queue, no grant or JGF
-// rebuild in the path — placements and eventlogs are byte-identical to
+// flat engine: the sole member *is* the root queue, no grant or child
+// graph in the path — placements and eventlogs are byte-identical to
 // a plain JobQueue by construction (pinned by
 // tests/integration/test_federation_differential.cpp).
 //

@@ -1,116 +1,83 @@
 #include "hier/instance.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
-
-#include "writers/jgf.hpp"
-#include "writers/json.hpp"
 
 namespace fluxion::hier {
 
 using util::Errc;
 
-namespace {
-
-void emit_vertex(const graph::ResourceGraph& g, const graph::Vertex& v,
-                 std::int64_t units, writers::Json& nodes) {
-  writers::Json paths = writers::Json::object();
-  paths.set("containment", v.path);
-  writers::Json meta = writers::Json::object();
-  meta.set("type", g.type_name(v.type))
-      .set("basename", v.basename)
-      .set("name", v.name)
-      .set("uniq_id", v.uniq_id + 1)  // root reserves uniq_id 0
-      .set("size", units)
-      .set("paths", std::move(paths));
-  if (v.status != graph::ResourceStatus::up) {
-    meta.set("status", graph::status_name(v.status));
-  }
-  if (!v.properties.empty()) {
-    writers::Json props = writers::Json::object();
-    for (const auto& [k, val] : v.properties) props.set(k, val);
-    meta.set("properties", std::move(props));
-  }
-  writers::Json node = writers::Json::object();
-  node.set("id", std::to_string(v.id)).set("metadata", std::move(meta));
-  nodes.push(std::move(node));
-}
-
-void emit_edge(graph::VertexId src, graph::VertexId dst,
-               writers::Json& edges, const std::string& src_id = {}) {
-  writers::Json meta = writers::Json::object();
-  meta.set("subsystem", "containment").set("relation", "contains");
-  writers::Json edge = writers::Json::object();
-  edge.set("source", src_id.empty() ? std::to_string(src) : src_id)
-      .set("target", std::to_string(dst))
-      .set("metadata", std::move(meta));
-  edges.push(std::move(edge));
-}
-
-void emit_subtree(const graph::ResourceGraph& g, graph::VertexId v,
-                  writers::Json& nodes, writers::Json& edges) {
-  const graph::Vertex& vx = g.vertex(v);
-  emit_vertex(g, vx, vx.size, nodes);
-  for (graph::VertexId c : g.containment_children(v)) {
-    emit_edge(v, c, edges);
-    emit_subtree(g, c, nodes, edges);
-  }
-}
-
-}  // namespace
-
-std::string grant_to_jgf(const graph::ResourceGraph& g,
-                         const traverser::MatchResult& grant) {
-  writers::Json nodes = writers::Json::array();
-  writers::Json edges = writers::Json::array();
-
-  // Synthetic cluster root so the child has a single containment tree.
-  {
-    writers::Json paths = writers::Json::object();
-    paths.set("containment", "/cluster0");
-    writers::Json meta = writers::Json::object();
-    meta.set("type", "cluster")
-        .set("basename", "cluster")
-        .set("name", "cluster0")
-        .set("uniq_id", 0)
-        .set("size", 1)
-        .set("paths", std::move(paths));
-    writers::Json node = writers::Json::object();
-    node.set("id", "grant-root").set("metadata", std::move(meta));
-    nodes.push(std::move(node));
-  }
-
+util::Expected<graph::RootedGraph> grant_graph(
+    const graph::ResourceGraph& parent, const traverser::MatchResult& grant,
+    util::TimePoint plan_start, util::Duration horizon) {
   // Skip vertices whose selected ancestor already brings their subtree.
   std::unordered_set<graph::VertexId> whole;
   for (const auto& ru : grant.resources) {
-    if (ru.exclusive && ru.units == g.vertex(ru.vertex).size) {
+    if (ru.exclusive && ru.units == parent.vertex(ru.vertex).size) {
       whole.insert(ru.vertex);
     }
   }
   auto covered = [&](graph::VertexId v) {
-    for (graph::VertexId a = g.vertex(v).containment_parent;
-         a != graph::kInvalidVertex; a = g.vertex(a).containment_parent) {
+    for (graph::VertexId a = parent.vertex(v).containment_parent;
+         a != graph::kInvalidVertex; a = parent.vertex(a).containment_parent) {
       if (whole.contains(a)) return true;
     }
     return false;
   };
 
+  // Plan in parent ids: (vertex, units) copies, and containment edges in
+  // adding order, kInvalidVertex standing for the synthetic root. A whole
+  // claim brings its subtree in pre-order, then the edge from the root; a
+  // quantity claim is a pool of exactly the granted units.
+  std::vector<std::pair<graph::VertexId, std::int64_t>> copies;
+  std::vector<std::pair<graph::VertexId, graph::VertexId>> edges, stack;
   for (const auto& ru : grant.resources) {
     if (covered(ru.vertex)) continue;
-    if (whole.contains(ru.vertex)) {
-      emit_subtree(g, ru.vertex, nodes, edges);
-    } else {
-      // Quantity claim: the child sees a pool of exactly the granted units.
-      emit_vertex(g, g.vertex(ru.vertex), ru.units, nodes);
+    stack.assign(1, {graph::kInvalidVertex, ru.vertex});
+    while (!stack.empty()) {
+      const auto [above, v] = stack.back();
+      stack.pop_back();
+      if (above != graph::kInvalidVertex) edges.emplace_back(above, v);
+      copies.emplace_back(v,
+                          v == ru.vertex ? ru.units : parent.vertex(v).size);
+      if (!whole.contains(ru.vertex)) continue;
+      const auto kids = parent.containment_children(v);
+      for (auto c = kids.rbegin(); c != kids.rend(); ++c) {
+        stack.emplace_back(v, *c);
+      }
     }
-    emit_edge(graph::kInvalidVertex, ru.vertex, edges, "grant-root");
+    edges.emplace_back(graph::kInvalidVertex, ru.vertex);
   }
+  // Parent uniq_id order keeps policy orderings in the child.
+  std::ranges::stable_sort(copies, {}, [&](const auto& c) {
+    return parent.vertex(c.first).uniq_id;
+  });
 
-  writers::Json graph_obj = writers::Json::object();
-  graph_obj.set("nodes", std::move(nodes)).set("edges", std::move(edges));
-  writers::Json root = writers::Json::object();
-  root.set("graph", std::move(graph_obj));
-  return root.dump();
+  graph::RootedGraph out{
+      std::make_unique<graph::ResourceGraph>(plan_start, horizon)};
+  graph::ResourceGraph& g = *out.graph;
+  out.root = g.add_vertex_named("cluster", "cluster", "cluster0", 1);
+  std::unordered_map<graph::VertexId, graph::VertexId> child_of{
+      {graph::kInvalidVertex, out.root}};
+  for (const auto& [from, units] : copies) {
+    const graph::Vertex& px = parent.vertex(from);
+    const auto v = g.add_vertex_named(parent.type_name(px.type), px.basename,
+                                      px.name, units);
+    g.vertex(v).properties = px.properties;
+    // Before any edge exists: no ancestor filter or non_up_below count to
+    // reconcile (add_containment folds the status in).
+    if (px.status != graph::ResourceStatus::up) {
+      if (auto st = g.set_status(v, px.status); !st) return st.error();
+    }
+    child_of[from] = v;
+  }
+  for (const auto& [above, v] : edges) {
+    if (auto st = g.add_containment(child_of[above], child_of[v]); !st) {
+      return st.error();
+    }
+  }
+  return out;
 }
 
 util::Expected<std::unique_ptr<Instance>> Instance::create_root(
@@ -126,10 +93,13 @@ util::Expected<Instance*> Instance::spawn_child(
     const jobspec::Jobspec& grant, const core::Options& child_options) {
   auto alloc = engine_->match_allocate(grant);
   if (!alloc) return alloc.error();
-  const std::string jgf = grant_to_jgf(engine_->graph(), *alloc);
+  auto copy = grant_graph(engine_->graph(), *alloc, child_options.plan_start,
+                          child_options.horizon);
   // Children prune on the same types a quartz-style parent would.
-  auto child_engine = core::ResourceQuery::create_from_jgf(
-      jgf, child_options, {"node", "core"}, {"cluster"});
+  auto child_engine = copy ? core::ResourceQuery::create_from_graph(
+                                 std::move(copy->graph), copy->root,
+                                 child_options, {"node", "core"}, {"cluster"})
+                           : copy.error();
   if (!child_engine) {
     (void)engine_->cancel(alloc->job);
     return child_engine.error();

@@ -7,15 +7,14 @@
 //   * a complete Fluxion engine (core::ResourceQuery) over its own
 //     resource graph, and
 //   * the *grant* that carved those resources out of the parent — a
-//     long-lived allocation in the parent's graph, serialised to JGF and
-//     rebuilt as the child's graph.
+//     long-lived allocation in the parent's graph, copied vertex by
+//     vertex into the child's own graph (grant_graph).
 //
 // Child scheduling is invisible to the parent (separation of concerns
 // across levels); shutting a child down releases its grant.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/resource_query.hpp"
@@ -25,12 +24,15 @@
 
 namespace fluxion::hier {
 
-/// Serialise a grant (a MatchResult in g) as a self-contained JGF system:
-/// a synthetic cluster root containing every selected vertex — with the
-/// full subtree of exclusive whole-vertex claims, and quantity claims
-/// resized to the granted units.
-std::string grant_to_jgf(const graph::ResourceGraph& g,
-                         const traverser::MatchResult& grant);
+/// Copy a grant (a MatchResult in `parent`) into a fresh graph over the
+/// given planning window: a synthetic `cluster0` root containing every
+/// selected vertex, with the full subtree of exclusive whole-vertex
+/// claims, and quantity claims resized to the granted units. Vertices
+/// keep type, basename, name, properties and status and are created in
+/// parent uniq_id order, so policy orderings carry over.
+util::Expected<graph::RootedGraph> grant_graph(
+    const graph::ResourceGraph& parent, const traverser::MatchResult& grant,
+    util::TimePoint plan_start, util::Duration horizon);
 
 class Instance {
  public:

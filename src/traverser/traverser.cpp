@@ -1479,41 +1479,55 @@ bool Traverser::audit() const {
 
 bool Traverser::verify_claims() const {
   // Recounted from the job records alone, sharing no code with the
-  // commit path: every schedule span belongs to one booked claim, every
-  // covered-claim count matches, and every covered claim is booked by an
-  // exclusive whole-instance claim of its own job and window above it.
+  // commit path or the walk's checks: every schedule span belongs to one
+  // booked claim, every covered-claim count matches, every covered claim
+  // is booked by an exclusive whole-instance claim ("hold") of its own
+  // job and window above it, never the root's, and no job claims a
+  // vertex another job holds over an overlapping window. A hold reaches
+  // its vertex and what lies below it through single-parent vertices.
   std::vector<std::size_t> booked(g_.vertex_count(), 0);
   std::vector<std::int32_t> covered(g_.vertex_count(), 0);
+  std::unordered_map<VertexId, std::vector<std::pair<JobId, util::TimeWindow>>>
+      holds;
   for (const auto& [id, rec] : jobs_) {
-    std::unordered_map<VertexId, std::vector<const CommittedClaim*>> own;
     for (const CommittedClaim& cc : rec.claims) {
-      if (!cc.claim.covered) own[cc.claim.vertex].push_back(&cc);
+      if (!cc.claim.covered && cc.claim.exclusive &&
+          cc.claim.whole_instance) {
+        holds[cc.claim.vertex].emplace_back(id, cc.window);
+      }
+    }
+  }
+  for (const auto& [id, rec] : jobs_) {
+    std::unordered_set<VertexId> own;
+    for (const CommittedClaim& cc : rec.claims) {
+      if (!cc.claim.covered) own.insert(cc.claim.vertex);
     }
     for (const CommittedClaim& cc : rec.claims) {
       const VertexId v = cc.claim.vertex;
       if (!cc.claim.covered) {
         ++booked[v];
         if (g_.vertex(v).schedule->find_span(cc.span) == nullptr) return false;
-        continue;
+      } else {
+        ++covered[v];
+        // No span of its own job on a covered vertex.
+        if (cc.span != planner::kInvalidSpan || own.contains(v)) return false;
       }
-      ++covered[v];
-      // No span of its own job on a covered vertex.
-      if (cc.span != planner::kInvalidSpan || own.contains(v)) return false;
-      // The booking claim: up through single-parent vertices only, never
-      // the root.
-      bool found = false;
-      for (VertexId p = v; !found;) {
-        if (g_.vertex(p).contains_in != 1) return false;
-        p = g_.vertex(p).containment_parent;
-        if (p == graph::kInvalidVertex || p == root_) return false;
-        if (auto it = own.find(p); it != own.end()) {
-          for (const CommittedClaim* o : it->second) {
-            found = found || (o->claim.exclusive && o->claim.whole_instance &&
-                              o->window.start == cc.window.start &&
-                              o->window.duration == cc.window.duration);
+      bool booking = !cc.claim.covered;
+      for (VertexId a = v;; a = g_.vertex(a).containment_parent) {
+        if (auto it = holds.find(a); it != holds.end()) {
+          for (const auto& [holder, w] : it->second) {
+            if (holder != id && w.overlaps(cc.window)) return false;
+            booking = booking || (holder == id && a != root_ &&
+                                  w.start == cc.window.start &&
+                                  w.duration == cc.window.duration);
           }
         }
+        if (g_.vertex(a).contains_in != 1 ||
+            g_.vertex(a).containment_parent == graph::kInvalidVertex) {
+          break;
+        }
       }
+      if (!booking) return false;
     }
   }
   for (VertexId v = 0; v < g_.vertex_count(); ++v) {
@@ -1563,15 +1577,9 @@ bool Traverser::verify_filters() const {
       probes.push_back(cc.window.end() - 1);
     }
   }
-  for (const auto& [fid, fv] : [this] {
-         std::vector<std::pair<VertexId, const planner::PlannerMulti*>> fs;
-         for (VertexId v = 0; v < g_.vertex_count(); ++v) {
-           if (g_.vertex(v).alive && g_.vertex(v).filter != nullptr) {
-             fs.emplace_back(v, g_.vertex(v).filter.get());
-           }
-         }
-         return fs;
-       }()) {
+  for (VertexId fid = 0; fid < g_.vertex_count(); ++fid) {
+    const planner::PlannerMulti* fv = g_.vertex(fid).filter.get();
+    if (!g_.vertex(fid).alive || fv == nullptr) continue;
     for (std::size_t i = 0; i < fv->resource_count(); ++i) {
       const planner::Planner& p = fv->planner_at(i);
       const auto type = g_.find_type(p.resource_type());

@@ -303,7 +303,10 @@ class Traverser {
   /// covered-claim count matches, and each covered claim has a booked
   /// exclusive whole-instance ancestor claim of its own job and window,
   /// reached through single-parent vertices, with no span of its own job
-  /// on the covered vertex.
+  /// on the covered vertex. Exclusivity across jobs: no job claims a
+  /// vertex that another job's booked exclusive whole-instance claim
+  /// holds over an overlapping window, or one below it through
+  /// single-parent vertices (a second `contains` parent is a way around).
   bool verify_claims() const;
 
   /// Post-mutation audit hook (test/fuzzing aid). When enabled, every

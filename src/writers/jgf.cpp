@@ -32,16 +32,23 @@ Json vertex_node(const graph::ResourceGraph& g, const graph::Vertex& v,
   return node;
 }
 
-Json edge_node(const graph::ResourceGraph& g, graph::VertexId src,
-               const graph::Edge& e) {
+Json edge_node(graph::VertexId src, graph::VertexId dst,
+               std::string_view subsystem, std::string_view relation) {
   Json meta = Json::object();
-  meta.set("subsystem", g.subsystem_name(e.subsystem))
-      .set("relation", g.relation_name(e.relation));
+  meta.set("subsystem", subsystem).set("relation", relation);
   Json edge = Json::object();
   edge.set("source", std::to_string(src))
-      .set("target", std::to_string(e.dst))
+      .set("target", std::to_string(dst))
       .set("metadata", std::move(meta));
   return edge;
+}
+
+Json document(Json nodes, Json edges) {
+  Json graph = Json::object();
+  graph.set("nodes", std::move(nodes)).set("edges", std::move(edges));
+  Json root = Json::object();
+  root.set("graph", std::move(graph));
+  return root;
 }
 
 }  // namespace
@@ -55,14 +62,11 @@ Json graph_to_jgf(const graph::ResourceGraph& g) {
     nodes.push(vertex_node(g, vx, vx.size, false));
     for (const graph::Edge& e : g.out_edges(v)) {
       if (!g.vertex(e.dst).alive) continue;
-      edges.push(edge_node(g, v, e));
+      edges.push(edge_node(v, e.dst, g.subsystem_name(e.subsystem),
+                           g.relation_name(e.relation)));
     }
   }
-  Json graph = Json::object();
-  graph.set("nodes", std::move(nodes)).set("edges", std::move(edges));
-  Json root = Json::object();
-  root.set("graph", std::move(graph));
-  return root;
+  return document(std::move(nodes), std::move(edges));
 }
 
 Json match_to_jgf(const graph::ResourceGraph& g,
@@ -79,26 +83,12 @@ Json match_to_jgf(const graph::ResourceGraph& g,
     for (graph::VertexId a = vx.containment_parent;
          a != graph::kInvalidVertex; a = g.vertex(a).containment_parent) {
       if (selected.contains(a)) {
-        Json meta = Json::object();
-        meta.set("subsystem", "containment").set("relation", "contains");
-        Json edge = Json::object();
-        edge.set("source", std::to_string(a))
-            .set("target", std::to_string(vx.id))
-            .set("metadata", std::move(meta));
-        edges.push(std::move(edge));
+        edges.push(edge_node(a, vx.id, "containment", "contains"));
         break;
       }
     }
   }
-  Json graph = Json::object();
-  graph.set("nodes", std::move(nodes)).set("edges", std::move(edges));
-  Json root = Json::object();
-  root.set("graph", std::move(graph));
-  return root;
-}
-
-std::string graph_jgf_string(const graph::ResourceGraph& g) {
-  return graph_to_jgf(g).pretty();
+  return document(std::move(nodes), std::move(edges));
 }
 
 }  // namespace fluxion::writers

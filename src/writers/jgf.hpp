@@ -1,13 +1,11 @@
 // JSON Graph Format (JGF) writer for the resource graph store.
 //
 // Fluxion serialises resource graphs — whole systems or matched subsets —
-// as JGF so external tools (and parent/child instances, §5.6) can consume
-// them. Each vertex carries the metadata flux-sched emits: type, basename,
-// name, id, uniq_id, rank, size, exclusivity and its containment paths;
-// each edge carries its subsystem and relation name.
+// as JGF so external tools can consume them. Each vertex carries the
+// metadata flux-sched emits: type, basename, name, id, uniq_id, rank,
+// size, exclusivity and its containment paths; each edge carries its
+// subsystem and relation name.
 #pragma once
-
-#include <string>
 
 #include "graph/resource_graph.hpp"
 #include "traverser/traverser.hpp"
@@ -22,8 +20,5 @@ Json graph_to_jgf(const graph::ResourceGraph& g);
 /// edges between selected vertices and their selected ancestors.
 Json match_to_jgf(const graph::ResourceGraph& g,
                   const traverser::MatchResult& result);
-
-/// Convenience: pretty JGF text.
-std::string graph_jgf_string(const graph::ResourceGraph& g);
 
 }  // namespace fluxion::writers

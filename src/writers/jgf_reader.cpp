@@ -23,13 +23,6 @@ struct VertexSpec {
   std::map<std::string, std::string> properties;
 };
 
-struct EdgeSpec {
-  std::string source;
-  std::string target;
-  std::string subsystem;
-  std::string relation;
-};
-
 util::Expected<VertexSpec> parse_vertex(const yaml::Node& n) {
   VertexSpec spec;
   const yaml::Node* id = n.get("id");
@@ -86,9 +79,9 @@ util::Expected<VertexSpec> parse_vertex(const yaml::Node& n) {
 
 }  // namespace
 
-util::Expected<JgfGraph> read_jgf(std::string_view text,
-                                  util::TimePoint plan_start,
-                                  util::Duration horizon) {
+util::Expected<graph::RootedGraph> read_jgf(std::string_view text,
+                                            util::TimePoint plan_start,
+                                            util::Duration horizon) {
   auto doc = yaml::parse_json(text);
   if (!doc) return doc.error();
   const yaml::Node* graph_node = doc->get("graph");
@@ -113,7 +106,7 @@ util::Expected<JgfGraph> read_jgf(std::string_view text,
                      return a.uniq_id < b.uniq_id;
                    });
 
-  JgfGraph out;
+  graph::RootedGraph out;
   out.graph = std::make_unique<graph::ResourceGraph>(plan_start, horizon);
   graph::ResourceGraph& g = *out.graph;
   std::unordered_map<std::string, graph::VertexId> by_jgf_id;
@@ -137,57 +130,56 @@ util::Expected<JgfGraph> read_jgf(std::string_view text,
 
   if (edges != nullptr && edges->is_sequence()) {
     for (const yaml::Node& e : edges->items()) {
-      EdgeSpec spec;
       const yaml::Node* src = e.get("source");
       const yaml::Node* dst = e.get("target");
       if (src == nullptr || dst == nullptr) {
         return util::Error{Errc::invalid_argument,
                            "jgf: edge needs source and target"};
       }
-      spec.source = src->scalar();
-      spec.target = dst->scalar();
-      if (const yaml::Node* meta = e.get("metadata")) {
-        if (const yaml::Node* ss = meta->get("subsystem")) {
-          spec.subsystem = ss->scalar();
-        }
-        if (const yaml::Node* rel = meta->get("relation")) {
-          spec.relation = rel->scalar();
-        }
-      }
-      if (spec.subsystem.empty()) spec.subsystem = "containment";
-      if (spec.relation.empty()) spec.relation = "contains";
-      auto s = by_jgf_id.find(spec.source);
-      auto t = by_jgf_id.find(spec.target);
+      const std::string& source = src->scalar();
+      const std::string& target = dst->scalar();
+      // An absent or empty field means a containment `contains` edge.
+      const yaml::Node* meta = e.get("metadata");
+      auto field = [meta](const char* key, const char* absent) {
+        const yaml::Node* n = meta != nullptr ? meta->get(key) : nullptr;
+        return n == nullptr || n->scalar().empty() ? std::string(absent)
+                                                   : n->scalar();
+      };
+      const std::string subsystem = field("subsystem", "containment");
+      const std::string relation = field("relation", "contains");
+      auto s = by_jgf_id.find(source);
+      auto t = by_jgf_id.find(target);
       if (s == by_jgf_id.end() || t == by_jgf_id.end()) {
         // Name the offending endpoint(s): "unknown node" alone is useless
         // against a machine-generated JGF with thousands of edges.
-        std::string msg = "jgf: edge '" + spec.source + "' -> '" +
-                          spec.target + "' references unknown node";
-        if (s == by_jgf_id.end()) msg += " '" + spec.source + "'";
+        std::string msg = "jgf: edge '" + source + "' -> '" + target +
+                          "' references unknown node";
+        if (s == by_jgf_id.end()) msg += " '" + source + "'";
         if (t == by_jgf_id.end()) {
-          msg += s == by_jgf_id.end() ? " and '" : " '";
-          msg += spec.target + "'";
+          msg += (s == by_jgf_id.end() ? " and '" : " '") + target + "'";
         }
         return util::Error{Errc::invalid_argument, msg};
       }
-      if (spec.subsystem == "containment") {
-        if (spec.relation == "contains") {
+      if (subsystem == "containment") {
+        if (relation == "contains") {
           if (auto st = g.add_containment(s->second, t->second); !st) {
-            // Name the edge, as for unknown endpoints above.
-            std::string msg =
-                "jgf: edge '" + spec.source + "' -> '" + spec.target + "' ";
+            // Name the edge, as for unknown endpoints above; a cycle or
+            // a too-deep nest keeps the graph's reason ("would ...").
+            std::string msg = "jgf: edge '" + source + "' -> '" + target + "' ";
+            const std::string& why = st.error().message;
+            const auto reason = why.find("would");
             msg += st.error().code == Errc::exists
-                       ? "gives '" + spec.target +
-                             "' a second containment parent"
-                       : "would form a containment cycle";
+                       ? "gives '" + target + "' a second containment parent"
+                   : reason == std::string::npos ? why
+                                                 : why.substr(reason);
             return util::Error{st.error().code, msg};
           }
         }
         // "in" edges are recreated by add_containment; skip them.
       } else {
         if (auto st = g.add_edge(s->second, t->second,
-                                 g.intern_subsystem(spec.subsystem),
-                                 g.intern_relation(spec.relation));
+                                 g.intern_subsystem(subsystem),
+                                 g.intern_relation(relation));
             !st) {
           return st.error();
         }

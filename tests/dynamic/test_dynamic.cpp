@@ -75,7 +75,7 @@ class DynamicTest : public ::testing::Test {
     }
   };
   Snapshot snap() const {
-    return {writers::graph_jgf_string(g),
+    return {writers::graph_to_jgf(g).pretty(),
             g.live_vertex_count(),
             g.edge_count(),
             g.status_count(ResourceStatus::up),

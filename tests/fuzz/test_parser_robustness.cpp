@@ -3,6 +3,7 @@
 // fuzzing — byte flips, truncations, duplications — over valid seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,55 @@ TEST(ParserRobustness, JgfContainmentCyclesRejectedAndNamed) {
                   "edge '1' -> '0' would form a containment cycle"),
               std::string::npos)
         << r.error().message;
+  }
+}
+
+TEST(ParserRobustness, JgfContainmentDepthLimited) {
+  // Every vertex stores its full path, so a long chain costs O(depth^2)
+  // bytes; one level past graph::kMaxContainmentDepth is refused at the
+  // edge that overreaches, whichever order the edges are listed in.
+  auto chain = [](std::size_t levels, bool bottom_up) {
+    std::string nodes;
+    std::vector<std::string> edges;
+    for (std::size_t i = 0; i <= levels; ++i) {
+      const std::string id = std::to_string(i);
+      if (i != 0) nodes += ',';
+      nodes += R"({"id":")" + id +
+               R"(","metadata":{"type":"node","name":"n)" + id + R"("}})";
+      if (i < levels) {
+        edges.push_back(R"({"source":")" + id + R"(","target":")" +
+                        std::to_string(i + 1) + R"("})");
+      }
+    }
+    if (bottom_up) std::reverse(edges.begin(), edges.end());
+    std::string out = R"({"graph":{"nodes":[)" + nodes + R"(],"edges":[)";
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (i != 0) out += ',';
+      out += edges[i];
+    }
+    return out + "]}}";
+  };
+  const std::size_t limit = graph::kMaxContainmentDepth;
+  for (const bool bottom_up : {false, true}) {
+    auto at_limit = writers::read_jgf(chain(limit, bottom_up), 0, 1000);
+    ASSERT_TRUE(at_limit) << at_limit.error().message;
+    EXPECT_EQ(at_limit->graph->vertex(at_limit->root).name, "n0");
+    EXPECT_TRUE(at_limit->graph->validate());
+
+    auto over = writers::read_jgf(chain(limit + 1, bottom_up), 0, 1000);
+    ASSERT_FALSE(over);
+    EXPECT_EQ(over.error().code, util::Errc::invalid_argument);
+    // Top-down the last edge overreaches; bottom-up the first edge that
+    // hangs the full-height chain under n0.
+    const std::string edge =
+        bottom_up ? "edge '0' -> '1'"
+                  : "edge '" + std::to_string(limit) + "' -> '" +
+                        std::to_string(limit + 1) + "'";
+    EXPECT_NE(over.error().message.find(
+                  edge + " would nest containment deeper than " +
+                  std::to_string(limit) + " levels"),
+              std::string::npos)
+        << over.error().message;
   }
 }
 

@@ -303,5 +303,31 @@ TEST(ResourceGraph, UniqIdsAreSequential) {
   EXPECT_EQ(g.vertex(a).uniq_id + 1, g.vertex(b).uniq_id);
 }
 
+TEST(ResourceGraph, TooDeepContainmentRefused) {
+  // A chain may reach kMaxContainmentDepth levels below its root; an edge
+  // that would go one deeper is refused before any change, whether it
+  // hangs a vertex under the deepest one or a deep subtree under a root.
+  ResourceGraph g(0, 100);
+  std::vector<VertexId> chain;
+  for (std::size_t i = 0; i <= kMaxContainmentDepth; ++i) {
+    chain.push_back(g.add_vertex("node", "node", static_cast<int>(i), 1));
+  }
+  for (std::size_t i = chain.size() - 1; i > 0; --i) {
+    ASSERT_TRUE(g.add_containment(chain[i - 1], chain[i])) << i;
+  }
+  const VertexId leaf = g.add_vertex("core", "core", 0, 1);
+  const VertexId top = g.add_vertex("cluster", "cluster", 0, 1);
+  const auto before = containment_state(g);
+  EXPECT_EQ(g.add_containment(chain.back(), leaf).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(g.add_containment(top, chain.front()).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(containment_state(g), before);
+  EXPECT_TRUE(g.validate());
+  // One level up the chain there is room for the leaf.
+  EXPECT_TRUE(g.add_containment(chain[chain.size() - 2], leaf));
+  EXPECT_TRUE(g.validate());
+}
+
 }  // namespace
 }  // namespace fluxion::graph

@@ -200,7 +200,7 @@ TEST(GrantJgf, QuantityClaimsShrinkPools) {
   ASSERT_TRUE(js);
   auto grant = trav.match(*js, traverser::MatchOp::allocate, 0, 1);
   ASSERT_TRUE(grant);
-  auto child = writers::read_jgf(grant_to_jgf(g, *grant), 0, 100000);
+  auto child = grant_graph(g, *grant, 0, 100000);
   ASSERT_TRUE(child) << child.error().message;
   const auto counts = child->graph->subtree_counts(child->root);
   EXPECT_EQ(counts.at(*child->graph->find_type("memory")), 8);

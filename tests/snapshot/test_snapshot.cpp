@@ -193,6 +193,66 @@ TEST_F(SnapshotFixture, EngineRoundTripPreservesClaims) {
   EXPECT_EQ(rt.find_job(1), nullptr);
 }
 
+TEST(SnapshotAudit, NestedJobRecordsFailAudit) {
+  // The walk never places a job beneath a vertex another job holds
+  // whole, but load replays job records without the walk's checks. Job 1
+  // holds node0 whole now and job 2 takes a core of node0 much later;
+  // rewriting job 2's start to now makes the two records nest in space
+  // and time, and the audit must see it.
+  graph::ResourceGraph g(0, std::int64_t{1} << 31);
+  auto recipe =
+      grug::parse("cluster count=1\n  node count=2\n    core count=4\n");
+  ASSERT_TRUE(recipe);
+  auto root = grug::build(g, *recipe);
+  ASSERT_TRUE(root);
+  policy::LowIdPolicy pol;
+  traverser::Traverser t(g, *root, pol);
+  constexpr util::TimePoint kLater = 1'000'000'007;
+  ASSERT_TRUE(t.match(whole_nodes(1, 100), traverser::MatchOp::allocate,
+                      0, 1));
+  auto js = make({slot(1, {res("core", 1)})}, 100);
+  ASSERT_TRUE(js);
+  auto later = t.match(*js, traverser::MatchOp::allocate, kLater, 2);
+  ASSERT_TRUE(later);
+  ASSERT_EQ(later->at, kLater);
+  const auto node0 = *g.find_by_path("/cluster0/node0");
+  bool under_node0 = false;
+  for (const auto& ru : later->resources) {
+    under_node0 = under_node0 || (ru.vertex != node0 &&
+                                  g.in_subtree(ru.vertex, node0));
+  }
+  ASSERT_TRUE(under_node0);
+
+  const std::string good = EngineSnapshot::save(g, t, nullptr);
+  auto encoded = [](util::TimePoint at) {
+    Writer w;
+    w.iv(at);
+    return w.take();
+  };
+  const std::string from = encoded(kLater), to = encoded(0);
+  std::string nested = good;
+  std::size_t rewritten = 0;
+  for (auto at = nested.find(from); at != std::string::npos;
+       at = nested.find(from, at + to.size())) {
+    nested.replace(at, from.size(), to);
+    ++rewritten;
+  }
+  ASSERT_GE(rewritten, 2u);  // the job's start and its claims' windows
+
+  auto intact = EngineSnapshot::load(good);
+  ASSERT_TRUE(intact) << intact.error().message;
+  EXPECT_TRUE((*intact)->traverser->audit());
+  auto eng = EngineSnapshot::load(nested);
+  ASSERT_TRUE(eng) << eng.error().message;
+  const traverser::Traverser& rt = *(*eng)->traverser;
+  ASSERT_EQ(rt.find_job(2)->at, 0);
+  // Every span and filter still recounts; only the cross-job sweep in
+  // verify_claims sees the nesting.
+  EXPECT_TRUE(rt.verify_filters());
+  EXPECT_FALSE(rt.verify_claims());
+  EXPECT_FALSE(rt.audit());
+}
+
 TEST_F(SnapshotFixture, SaveIsDeterministic) {
   auto m = trav->match(whole_nodes(3, 200), traverser::MatchOp::allocate,
                        0, 1);

@@ -665,7 +665,7 @@ struct Cli {
       rq->clear_stats();
       std::printf("stats cleared\n");
     } else if (cmd == "jgf") {
-      std::printf("%s\n", writers::graph_jgf_string(rq->graph()).c_str());
+      std::printf("%s\n", writers::graph_to_jgf(rq->graph()).pretty().c_str());
     } else if (cmd == "save" && args.size() == 2) {
       const std::string bytes =
           snapshot::save_engine(rq->graph(), rq->traverser(), nullptr);
