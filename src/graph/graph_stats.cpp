@@ -17,13 +17,13 @@ void walk(const ResourceGraph& g, VertexId v, std::size_t depth,
     if (e.relation == g.in_rel() || !g.vertex(e.dst).alive) continue;
     stats.subsystem_edges[g.subsystem_name(e.subsystem)] += 1;
   }
-  const auto children = g.containment_children(v);
-  if (children.empty()) {
-    ++stats.leaves;
-    return;
+  bool leaf = true;
+  for (VertexId c : g.containment_children(v)) {
+    leaf = false;
+    ++stats.edges;
+    walk(g, c, depth + 1, stats);
   }
-  stats.edges += children.size();
-  for (VertexId c : children) walk(g, c, depth + 1, stats);
+  if (leaf) ++stats.leaves;
 }
 }  // namespace
 

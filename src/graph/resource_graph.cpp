@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "util/check.hpp"
 
@@ -28,6 +29,39 @@ std::optional<ResourceStatus> parse_status(std::string_view name) noexcept {
   return std::nullopt;
 }
 
+namespace {
+/// Sum each type's entries of per-type counts into one, sorted by type.
+/// A graph has few types, so a linear search of the sums found so far
+/// beats sorting every entry.
+void tally(std::vector<TypeCount>& counts) {
+  std::size_t n = 0;
+  for (const TypeCount& c : counts) {
+    const auto end = counts.begin() + static_cast<std::ptrdiff_t>(n);
+    const auto it = std::find_if(counts.begin(), end, [&](const TypeCount& t) {
+      return t.type == c.type;
+    });
+    if (it != end) {
+      it->count += c.count;
+    } else {
+      counts[n++] = c;
+    }
+  }
+  counts.resize(n);
+  std::sort(counts.begin(), counts.end(),
+            [](const TypeCount& a, const TypeCount& b) {
+              return a.type < b.type;
+            });
+}
+}  // namespace
+
+std::int64_t count_of(std::span<const TypeCount> counts,
+                      InternId type) noexcept {
+  const auto it = std::lower_bound(
+      counts.begin(), counts.end(), type,
+      [](const TypeCount& c, InternId t) { return c.type < t; });
+  return it != counts.end() && it->type == type ? it->count : 0;
+}
+
 ResourceGraph::ResourceGraph(TimePoint plan_start, Duration horizon)
     : plan_start_(plan_start), horizon_(horizon) {
   containment_ = subsystems_.intern("containment");
@@ -50,6 +84,7 @@ VertexId ResourceGraph::add_vertex_named(std::string_view type,
                                          std::string_view name,
                                          std::int64_t size) {
   assert(size >= 0);
+  ++structure_epoch_;
   const VertexId id = static_cast<VertexId>(vertices_.size());
   Vertex v;
   v.id = id;
@@ -83,6 +118,7 @@ util::Status ResourceGraph::add_edge(VertexId src, VertexId dst,
   if (!vertices_[src].alive || !vertices_[dst].alive) {
     return util::Error{Errc::invalid_argument, "add_edge: dead vertex"};
   }
+  ++structure_epoch_;
   out_[src].push_back(Edge{dst, subsystem, relation});
   ++edge_count_;
   if (relation == contains_) add_contains_in(dst);
@@ -170,33 +206,16 @@ util::Status ResourceGraph::install_filter(VertexId v,
   if (vertices_[v].filter != nullptr) {
     return util::Error{Errc::exists, "install_filter: filter already set"};
   }
-  auto counts = counted_subtree_counts(v);
+  const auto counts = counted_subtree_counts(v);
   auto filter = std::make_unique<planner::PlannerMulti>(plan_start_, horizon_);
   for (InternId t : types) {
-    const auto it = counts.find(t);
-    const std::int64_t total = it == counts.end() ? 0 : it->second;
-    if (auto r = filter->add_resource(types_.name(t), total, t); !r) {
+    if (auto r = filter->add_resource(types_.name(t), count_of(counts, t), t);
+        !r) {
       return r.error();
     }
   }
   vertices_[v].filter = std::move(filter);
   return util::Status::ok();
-}
-
-std::vector<VertexId> ResourceGraph::children(VertexId v, InternId subsystem,
-                                              InternId relation) const {
-  std::vector<VertexId> out;
-  for (const Edge& e : out_[v]) {
-    if (e.subsystem == subsystem && e.relation == relation &&
-        vertices_[e.dst].alive) {
-      out.push_back(e.dst);
-    }
-  }
-  return out;
-}
-
-std::vector<VertexId> ResourceGraph::containment_children(VertexId v) const {
-  return children(v, containment_, contains_);
 }
 
 std::vector<VertexId> ResourceGraph::vertices_of_type(InternId type) const {
@@ -219,17 +238,67 @@ std::optional<VertexId> ResourceGraph::find_by_path(
 
 void ResourceGraph::collect_subtree(VertexId v,
                                     std::vector<VertexId>& out) const {
-  out.push_back(v);
-  for (VertexId c : containment_children(v)) collect_subtree(c, out);
+  std::vector<VertexId> stack{v};
+  while (!stack.empty()) {
+    const VertexId u = stack.back();
+    stack.pop_back();
+    out.push_back(u);
+    // Pushed last-first, so the first child is visited first.
+    for (VertexId c : containment_children(u) | std::views::reverse) {
+      stack.push_back(c);
+    }
+  }
 }
 
-std::map<InternId, std::int64_t> ResourceGraph::subtree_counts(
-    VertexId v) const {
-  std::map<InternId, std::int64_t> counts;
-  std::vector<VertexId> subtree;
-  collect_subtree(v, subtree);
-  for (VertexId u : subtree) counts[vertices_[u].type] += vertices_[u].size;
-  return counts;
+std::span<const TypeCount> ResourceGraph::subtree_counts(VertexId v) const {
+  if (totals_epoch_ != structure_epoch_) {
+    totals_.clear();
+    total_lists_.clear();
+    totals_of_.assign(vertices_.size(), kNoTotals);
+    last_of_type_.assign(types_.size(), kNoTotals);
+    totals_epoch_ = structure_epoch_;
+  }
+  if (totals_of_[v] == kNoTotals) fill_totals(v);
+  return total_list(totals_of_[v]);
+}
+
+void ResourceGraph::fill_totals(VertexId top) const {
+  // Post-order over top's subtree, stopping at vertices summed earlier in
+  // this epoch: a vertex's totals are its own pool plus each child's
+  // cached totals, so each vertex is summed once per epoch. kPending marks
+  // a vertex whose children are still being summed. A vertex whose totals
+  // equal those of the last vertex of its type summed shares that list,
+  // so a regular hierarchy stores a few lists, not one per vertex.
+  constexpr std::uint32_t kPending = kNoTotals - 1;
+  std::vector<VertexId> stack{top};
+  std::vector<TypeCount> parts;
+  while (!stack.empty()) {
+    const VertexId u = stack.back();
+    if (totals_of_[u] == kNoTotals) {
+      totals_of_[u] = kPending;
+      for (VertexId c : containment_children(u)) {
+        if (totals_of_[c] == kNoTotals) stack.push_back(c);
+      }
+      continue;
+    }
+    stack.pop_back();
+    if (totals_of_[u] != kPending) continue;  // reached a second time
+    parts.assign(1, TypeCount{vertices_[u].type, vertices_[u].size});
+    for (VertexId c : containment_children(u)) {
+      if (totals_of_[c] == kPending) continue;  // a cycle into the walk
+      const auto list = total_list(totals_of_[c]);
+      parts.insert(parts.end(), list.begin(), list.end());
+    }
+    tally(parts);
+    std::uint32_t& last = last_of_type_[vertices_[u].type];
+    if (last == kNoTotals || !std::ranges::equal(total_list(last), parts)) {
+      last = static_cast<std::uint32_t>(total_lists_.size());
+      const auto b = static_cast<std::uint32_t>(totals_.size());
+      totals_.insert(totals_.end(), parts.begin(), parts.end());
+      total_lists_.emplace_back(b, static_cast<std::uint32_t>(totals_.size()));
+    }
+    totals_of_[u] = last;
+  }
 }
 
 bool ResourceGraph::in_subtree(VertexId v, VertexId top) const {
@@ -241,7 +310,7 @@ bool ResourceGraph::in_subtree(VertexId v, VertexId top) const {
 }
 
 util::Status ResourceGraph::resize_ancestor_filters(
-    VertexId from, const std::map<InternId, std::int64_t>& delta, bool grow) {
+    VertexId from, std::span<const TypeCount> delta, bool grow) {
   // All-or-nothing: remember every applied resize so a mid-walk failure
   // (an oversubscribed shrink) leaves the filters exactly as they were.
   std::vector<std::pair<planner::Planner*, std::int64_t>> applied;
@@ -275,23 +344,31 @@ void ResourceGraph::bump_ancestor_non_up(VertexId from, std::int32_t delta) {
   }
 }
 
-std::size_t ResourceGraph::reset_uniform_non_up(VertexId v, ResourceStatus s) {
-  std::size_t n = 1;
-  for (VertexId c : containment_children(v)) n += reset_uniform_non_up(c, s);
-  vertices_[v].non_up_below =
-      s != ResourceStatus::up ? static_cast<std::int32_t>(n - 1) : 0;
-  return n;
+void ResourceGraph::reset_uniform_non_up(std::span<const VertexId> subtree,
+                                         ResourceStatus s) {
+  // Children follow their parent in pre-order, so a reverse pass has
+  // every child's count before its parent's.
+  for (auto it = subtree.rbegin(); it != subtree.rend(); ++it) {
+    std::int32_t below = 0;
+    if (s != ResourceStatus::up) {
+      for (VertexId c : containment_children(*it)) {
+        below += vertices_[c].non_up_below + 1;
+      }
+    }
+    vertices_[*it].non_up_below = below;
+  }
 }
 
-std::map<InternId, std::int64_t> ResourceGraph::counted_subtree_counts(
+std::vector<TypeCount> ResourceGraph::counted_subtree_counts(
     VertexId v) const {
-  std::map<InternId, std::int64_t> counts;
   std::vector<VertexId> subtree;
   collect_subtree(v, subtree);
+  std::vector<TypeCount> counts;
   for (VertexId u : subtree) {
     if (vertices_[u].status == ResourceStatus::down) continue;
-    counts[vertices_[u].type] += vertices_[u].size;
+    counts.push_back({vertices_[u].type, vertices_[u].size});
   }
+  tally(counts);
   return counts;
 }
 
@@ -320,18 +397,20 @@ util::Status ResourceGraph::set_status(VertexId v, ResourceStatus s) {
   // Capacity delta for ancestor filters: only vertices whose counted-ness
   // (status != down) flips contribute, so repeated drains or re-downs are
   // free and mixed-status subtrees stay exact.
-  std::map<InternId, std::int64_t> lost, gained;
+  std::vector<TypeCount> lost, gained;
   std::int32_t non_up_delta = 0;
   for (VertexId u : subtree) {
     const Vertex& vx = vertices_[u];
     const bool was_counted = vx.status != ResourceStatus::down;
     const bool now_counted = s != ResourceStatus::down;
-    if (was_counted && !now_counted) lost[vx.type] += vx.size;
-    if (!was_counted && now_counted) gained[vx.type] += vx.size;
+    if (was_counted && !now_counted) lost.push_back({vx.type, vx.size});
+    if (!was_counted && now_counted) gained.push_back({vx.type, vx.size});
     non_up_delta +=
         static_cast<std::int32_t>(s != ResourceStatus::up) -
         static_cast<std::int32_t>(vx.status != ResourceStatus::up);
   }
+  tally(lost);
+  tally(gained);
   // Filters *inside* the subtree advertise the counted capacity below
   // them: zero when the subtree goes down, full capacity otherwise. The
   // down case verified span-freedom above, so these resizes cannot
@@ -351,10 +430,7 @@ util::Status ResourceGraph::set_status(VertexId v, ResourceStatus s) {
       std::int64_t want = 0;
       if (s != ResourceStatus::down) {
         const auto type = types_.find(p.resource_type());
-        if (type) {
-          const auto it = counts.find(*type);
-          want = it == counts.end() ? 0 : it->second;
-        }
+        if (type) want = count_of(counts, *type);
       }
       const std::int64_t old = p.total();
       if (old == want) continue;
@@ -385,7 +461,7 @@ util::Status ResourceGraph::set_status(VertexId v, ResourceStatus s) {
     vertices_[u].status = s;
     ++status_counts_[static_cast<std::size_t>(s)];
   }
-  reset_uniform_non_up(v, s);
+  reset_uniform_non_up(subtree, s);
   bump_ancestor_non_up(parent, non_up_delta);
   return util::Status::ok();
 }
@@ -422,6 +498,7 @@ util::Status ResourceGraph::detach_subtree(VertexId v) {
         -(vertices_[v].non_up_below +
           (vertices_[v].status != ResourceStatus::up ? 1 : 0)));
   }
+  // clear_out_edges bumps the structure epoch.
   for (VertexId u : subtree) {
     vertices_[u].alive = false;
     by_path_.erase(vertices_[u].path);
@@ -439,6 +516,7 @@ bool ResourceGraph::in_use(VertexId u) const {
 }
 
 void ResourceGraph::clear_out_edges(VertexId u) {
+  ++structure_epoch_;
   for (const Edge& e : out_[u]) {
     if (e.relation == contains_) drop_contains_in(e.dst);
   }
@@ -455,6 +533,7 @@ void ResourceGraph::drop_contains_in(VertexId v) {
 }
 
 void ResourceGraph::discard_detached_from(VertexId mark) {
+  // clear_out_edges bumps the structure epoch for each vertex discarded.
   for (VertexId u = mark; u < vertices_.size(); ++u) {
     Vertex& vx = vertices_[u];
     if (!vx.alive) continue;
@@ -481,6 +560,7 @@ util::Status ResourceGraph::attach_subtree(VertexId parent,
       !vertices_[parent].alive || !vertices_[subtree_root].alive) {
     return util::Error{Errc::not_found, "attach_subtree: unknown vertex"};
   }
+  // add_containment's edges bump the structure epoch.
   if (auto st = add_containment(parent, subtree_root); !st) return st;
   const auto counts = counted_subtree_counts(subtree_root);
   return resize_ancestor_filters(parent, counts, /*grow=*/true);
@@ -519,19 +599,27 @@ bool ResourceGraph::validate() const {
         const planner::Planner& p = v.filter->planner_at(i);
         const auto type = types_.find(p.resource_type());
         if (!type) return false;
-        const auto it2 = counts.find(*type);
-        const std::int64_t want = it2 == counts.end() ? 0 : it2->second;
-        if (p.total() != want) return false;
+        if (p.total() != count_of(counts, *type)) return false;
       }
     }
-    // Incremental non-up accounting must agree with a fresh subtree scan.
+    // Incremental non-up accounting and the cached subtree totals must
+    // agree with a fresh subtree scan.
     std::vector<VertexId> subtree;
     collect_subtree(v.id, subtree);
     std::int32_t non_up = 0;
+    std::map<InternId, std::int64_t> units;
     for (VertexId u : subtree) {
       if (u != v.id && vertices_[u].status != ResourceStatus::up) ++non_up;
+      units[vertices_[u].type] += vertices_[u].size;
     }
     if (v.non_up_below != non_up) return false;
+    if (totals_epoch_ == structure_epoch_ && totals_of_[v.id] != kNoTotals &&
+        !std::ranges::equal(total_list(totals_of_[v.id]), units,
+                            [](const TypeCount& c, const auto& u) {
+                              return c.type == u.first && c.count == u.second;
+                            })) {
+      return false;
+    }
   }
   for (std::size_t i = 0; i < kStatusCount; ++i) {
     if (by_status[i] != status_counts_[i]) return false;

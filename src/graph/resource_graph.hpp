@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -60,6 +62,17 @@ struct Edge {
   InternId subsystem = util::kInvalidIntern;
   InternId relation = util::kInvalidIntern;
 };
+
+/// Units of one resource type.
+struct TypeCount {
+  InternId type = util::kInvalidIntern;
+  std::int64_t count = 0;
+  bool operator==(const TypeCount&) const = default;
+};
+
+/// The count of `type` in per-type totals sorted by type; 0 when absent.
+std::int64_t count_of(std::span<const TypeCount> counts,
+                      InternId type) noexcept;
 
 /// Operational status of a resource vertex (dynamic-resource layer).
 ///   up      — schedulable.
@@ -183,8 +196,9 @@ class ResourceGraph {
   }
 
   /// Like subtree_counts, but skipping `down` vertices — the capacity a
-  /// pruning filter should advertise.
-  std::map<InternId, std::int64_t> counted_subtree_counts(VertexId v) const;
+  /// pruning filter should advertise. Walks the subtree on every call
+  /// (status changes do not touch the cached totals); for cold paths.
+  std::vector<TypeCount> counted_subtree_counts(VertexId v) const;
 
   /// How many vertices of `type` were ever created (dead ones included) —
   /// the next collision-free instance number for grown fragments.
@@ -223,12 +237,22 @@ class ResourceGraph {
 
   const std::vector<Edge>& out_edges(VertexId v) const { return out_[v]; }
 
-  /// Live children of v via `relation` edges in `subsystem`.
-  std::vector<VertexId> children(VertexId v, InternId subsystem,
-                                 InternId relation) const;
+  /// Live children of v via `relation` edges in `subsystem`: a view over
+  /// v's out-edges that allocates nothing. Like out_edges(), it is
+  /// invalidated by the next edge mutation.
+  auto children(VertexId v, InternId subsystem, InternId relation) const {
+    return out_[v] | std::views::filter([this, subsystem,
+                                         relation](const Edge& e) {
+             return e.subsystem == subsystem && e.relation == relation &&
+                    vertices_[e.dst].alive;
+           }) |
+           std::views::transform(&Edge::dst);
+  }
 
-  /// Live containment children (the traverser's hot path).
-  std::vector<VertexId> containment_children(VertexId v) const;
+  /// Live containment children.
+  auto containment_children(VertexId v) const {
+    return children(v, containment_, contains_);
+  }
 
   /// All live vertices of a type, in id order.
   std::vector<VertexId> vertices_of_type(InternId type) const;
@@ -236,8 +260,12 @@ class ResourceGraph {
   /// Vertex by containment path; nullopt when absent.
   std::optional<VertexId> find_by_path(std::string_view path) const;
 
-  /// Sum of pool sizes per type over v's containment subtree (v included).
-  std::map<InternId, std::int64_t> subtree_counts(VertexId v) const;
+  /// Sum of pool sizes per type over v's containment subtree (v included),
+  /// sorted by type. Cached per vertex until the structure next changes:
+  /// the first call for v after a change sums the part of v's subtree not
+  /// summed since, later calls cost O(1). The span stays valid until the
+  /// next call or structural change.
+  std::span<const TypeCount> subtree_counts(VertexId v) const;
 
   /// Whether v is `top` or lies below it in containment: a walk up v's
   /// containment parents reaches `top`. O(depth).
@@ -248,7 +276,8 @@ class ResourceGraph {
   void set_subsystem_filter(std::vector<InternId> subsystems);
   bool subsystem_visible(InternId subsystem) const;
 
-  /// Structural self-check for tests (paths, parents, filter consistency).
+  /// Structural self-check for tests (paths, parents, filter consistency,
+  /// cached subtree totals against a fresh recount).
   bool validate() const;
 
  private:
@@ -258,11 +287,20 @@ class ResourceGraph {
   friend class fluxion::snapshot::EngineSnapshot;
 
   util::Status resize_ancestor_filters(VertexId from,
-                                       const std::map<InternId, std::int64_t>&
-                                           delta,
+                                       std::span<const TypeCount> delta,
                                        bool grow);
+  /// Append v's containment subtree to `out` in pre-order (children
+  /// follow their parent, a vertex reached twice appears twice).
   void collect_subtree(VertexId v, std::vector<VertexId>& out) const;
   void bump_ancestor_non_up(VertexId from, std::int32_t delta);
+  /// Cache the subtree totals of `top` and of every vertex below it that
+  /// has none yet in this epoch.
+  void fill_totals(VertexId top) const;
+  /// One list of the cache.
+  std::span<const TypeCount> total_list(std::uint32_t id) const {
+    const auto [b, e] = total_lists_[id];
+    return {totals_.data() + b, totals_.data() + e};
+  }
   /// Whether u carries any allocation: a schedule or shared-use span, or a
   /// covered claim.
   bool in_use(VertexId u) const;
@@ -271,7 +309,10 @@ class ResourceGraph {
   /// Count one more / one fewer incoming `contains` edge on v.
   void add_contains_in(VertexId v);
   void drop_contains_in(VertexId v);
-  std::size_t reset_uniform_non_up(VertexId v, ResourceStatus s);
+  /// Set non_up_below over a subtree given in pre-order that now
+  /// carries status `s` throughout.
+  void reset_uniform_non_up(std::span<const VertexId> subtree,
+                            ResourceStatus s);
 
   TimePoint plan_start_;
   Duration horizon_;
@@ -291,6 +332,20 @@ class ResourceGraph {
   std::size_t multi_parent_ = 0;
   std::size_t status_counts_[kStatusCount] = {0, 0, 0};
   std::int64_t next_uniq_id_ = 0;
+  /// Bumped by every change to the vertices or edges (the snapshot loader
+  /// included); the subtree-total cache is valid for one epoch.
+  std::uint64_t structure_epoch_ = 0;
+  /// The cache, emptied when the epoch moves past totals_epoch_: vertex
+  /// v's totals are total_list(totals_of_[v]), a [begin, end) range of
+  /// totals_, or not yet summed (kNoTotals). Vertices of one type and
+  /// equal totals usually share one list; last_of_type_ holds each type's
+  /// newest list.
+  static constexpr std::uint32_t kNoTotals = UINT32_MAX;
+  mutable std::uint64_t totals_epoch_ = UINT64_MAX;
+  mutable std::vector<std::uint32_t> totals_of_;
+  mutable std::vector<std::uint32_t> last_of_type_;
+  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> total_lists_;
+  mutable std::vector<TypeCount> totals_;
 };
 
 /// A freshly built graph and its containment root (its parentless vertex).

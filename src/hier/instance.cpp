@@ -42,9 +42,9 @@ util::Expected<graph::RootedGraph> grant_graph(
       copies.emplace_back(v,
                           v == ru.vertex ? ru.units : parent.vertex(v).size);
       if (!whole.contains(ru.vertex)) continue;
-      const auto kids = parent.containment_children(v);
-      for (auto c = kids.rbegin(); c != kids.rend(); ++c) {
-        stack.emplace_back(v, *c);
+      for (graph::VertexId c :
+           parent.containment_children(v) | std::views::reverse) {
+        stack.emplace_back(v, c);
       }
     }
     edges.emplace_back(graph::kInvalidVertex, ru.vertex);

@@ -373,6 +373,9 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
     }
   }
   g.edge_count_ = edge_count;
+  // Vertices and edges were written directly, past the mutators that bump
+  // the structure epoch: no subtree total cached before the load holds.
+  ++g.structure_epoch_;
   const std::uint64_t nbuckets = r.uv();
   if (r.failed() || nbuckets > g.types_.size()) return corrupt("by-type");
   g.by_type_.resize(nbuckets);

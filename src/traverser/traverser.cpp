@@ -640,29 +640,43 @@ util::Status Traverser::apply_selection(JobRecord& rec,
 
 void Traverser::sdfu_loads(std::span<const CommittedClaim> claims,
                            JobRecord& rec) {
-  std::map<std::tuple<VertexId, TimePoint, Duration>, FilterSpan> loads;
-  for (const CommittedClaim& cc : claims) {
+  // One part per (filtered ancestor, claim). Sorted by (ancestor, window),
+  // each run of equal keys sums into one load.
+  std::vector<LoadPart>& parts = load_parts_;
+  parts.clear();
+  for (std::size_t i = 0; i < claims.size(); ++i) {
+    const CommittedClaim& cc = claims[i];
     if (cc.claim.under_exclusive) continue;
-    const VertexId v = cc.claim.vertex;
-    const std::map<util::InternId, std::int64_t> contribution =
-        cc.claim.whole_instance
-            ? g_.subtree_counts(v)
-            : std::map<util::InternId, std::int64_t>{
-                  {g_.vertex(v).type, cc.claim.units}};
-    for (VertexId a = v; a != graph::kInvalidVertex;
+    for (VertexId a = cc.claim.vertex; a != graph::kInvalidVertex;
          a = g_.vertex(a).containment_parent) {
-      const planner::PlannerMulti* filter = g_.vertex(a).filter.get();
-      if (filter == nullptr) continue;
-      FilterSpan& load = loads[{a, cc.window.start, cc.window.duration}];
-      load.vertex = a;
-      load.window = cc.window;
-      load.counts.resize(filter->resource_count(), 0);
-      for (const auto& [type, amount] : contribution) {
-        if (auto idx = filter->index_of_id(type)) load.counts[*idx] += amount;
-      }
+      if (g_.vertex(a).filter != nullptr) parts.push_back({a, cc.window, i});
     }
   }
-  for (auto& [key, load] : loads) {
+  auto key = [](const LoadPart& p) {
+    return std::tie(p.vertex, p.window.start, p.window.duration);
+  };
+  std::sort(parts.begin(), parts.end(),
+            [&](const LoadPart& x, const LoadPart& y) {
+              return key(x) < key(y);
+            });
+  for (std::size_t i = 0; i < parts.size();) {
+    const LoadPart& head = parts[i];
+    const planner::PlannerMulti& filter = *g_.vertex(head.vertex).filter;
+    FilterSpan load{head.vertex, planner::kInvalidSpan, head.window,
+                    std::vector<std::int64_t>(filter.resource_count(), 0)};
+    auto add = [&](util::InternId type, std::int64_t amount) {
+      if (auto idx = filter.index_of_id(type)) load.counts[*idx] += amount;
+    };
+    for (; i < parts.size() && key(parts[i]) == key(head); ++i) {
+      const Claim& c = claims[parts[i].claim].claim;
+      if (!c.whole_instance) {
+        add(g_.vertex(c.vertex).type, c.units);
+        continue;
+      }
+      for (const graph::TypeCount& tc : g_.subtree_counts(c.vertex)) {
+        add(tc.type, tc.count);
+      }
+    }
     if (std::any_of(load.counts.begin(), load.counts.end(),
                     [](std::int64_t c) { return c != 0; })) {
       rebook_.add(rec, std::move(load));
@@ -783,15 +797,30 @@ util::Status Traverser::rebook(JobRecord& rec, const char* op) {
 }
 
 void Traverser::refresh_resources(JobRecord& rec) const {
-  std::map<VertexId, ResourceUnit> merged;
+  // Merged in a buffer of its own, then copied out, so the record keeps
+  // no room for the claims that merged away.
+  std::vector<ResourceUnit> units;
+  units.reserve(rec.claims.size());
   for (const CommittedClaim& cc : rec.claims) {
-    ResourceUnit& ru = merged[cc.claim.vertex];
-    ru.vertex = cc.claim.vertex;
-    ru.units += cc.claim.units;
-    ru.exclusive = ru.exclusive || cc.claim.exclusive;
+    units.push_back({cc.claim.vertex, cc.claim.units, cc.claim.exclusive});
   }
-  rec.result.resources.clear();
-  for (auto& [v, ru] : merged) rec.result.resources.push_back(ru);
+  auto by_vertex = [](const ResourceUnit& a, const ResourceUnit& b) {
+    return a.vertex < b.vertex;
+  };
+  // Walks mostly claim in vertex order already.
+  if (!std::is_sorted(units.begin(), units.end(), by_vertex)) {
+    std::sort(units.begin(), units.end(), by_vertex);
+  }
+  std::size_t n = 0;
+  for (const ResourceUnit& ru : units) {
+    if (n != 0 && units[n - 1].vertex == ru.vertex) {
+      units[n - 1].units += ru.units;
+      units[n - 1].exclusive = units[n - 1].exclusive || ru.exclusive;
+    } else {
+      units[n++] = ru;
+    }
+  }
+  rec.result.resources.assign(units.begin(), units.begin() + n);
 }
 
 util::Expected<MatchResult> Traverser::commit_selection(
@@ -1567,14 +1596,41 @@ const MatchResult* Traverser::find_job(JobId job) const {
 
 bool Traverser::verify_filters() const {
   // Recount every filter's expected usage from job claims, then compare
-  // availability at each claim boundary instant.
+  // availability at each claim boundary instant. A whole-instance claim
+  // uses its whole subtree, recounted here once per claim by a walk of
+  // its own, so this check shares no code with the graph's cached totals.
+  struct Use {
+    const CommittedClaim* cc;
+    std::map<util::InternId, std::int64_t> units;
+  };
+  std::vector<Use> uses;
   std::vector<TimePoint> probes;
+  std::vector<VertexId> stack;
   for (const auto& [id, rec] : jobs_) {
     probes.push_back(rec.result.at);
     probes.push_back(rec.result.at + rec.result.duration - 1);
     for (const CommittedClaim& cc : rec.claims) {
       probes.push_back(cc.window.start);
       probes.push_back(cc.window.end() - 1);
+      const Claim& c = cc.claim;
+      if (c.under_exclusive) continue;
+      Use& use = uses.emplace_back(Use{&cc, {}});
+      if (!c.whole_instance) {
+        use.units[g_.vertex(c.vertex).type] = c.units;
+        continue;
+      }
+      stack.assign(1, c.vertex);
+      while (!stack.empty()) {
+        const graph::Vertex& ux = g_.vertex(stack.back());
+        stack.pop_back();
+        use.units[ux.type] += ux.size;
+        for (const graph::Edge& e : g_.out_edges(ux.id)) {
+          if (e.subsystem == g_.containment() &&
+              e.relation == g_.contains_rel() && g_.vertex(e.dst).alive) {
+            stack.push_back(e.dst);
+          }
+        }
+      }
     }
   }
   for (VertexId fid = 0; fid < g_.vertex_count(); ++fid) {
@@ -1587,20 +1643,13 @@ bool Traverser::verify_filters() const {
       for (TimePoint t : probes) {
         if (t < p.base_time() || t >= p.plan_end()) continue;
         std::int64_t used = 0;
-        for (const auto& [id, rec] : jobs_) {
-          for (const CommittedClaim& cc : rec.claims) {
-            if (!cc.window.contains(t)) continue;
-            const Claim& c = cc.claim;
-            if (c.under_exclusive) continue;
-            if (!g_.in_subtree(c.vertex, fid)) continue;
-            if (c.whole_instance) {
-              const auto counts = g_.subtree_counts(c.vertex);
-              if (auto it2 = counts.find(*type); it2 != counts.end()) {
-                used += it2->second;
-              }
-            } else if (g_.vertex(c.vertex).type == *type) {
-              used += c.units;
-            }
+        for (const Use& use : uses) {
+          if (!use.cc->window.contains(t) ||
+              !g_.in_subtree(use.cc->claim.vertex, fid)) {
+            continue;
+          }
+          if (auto it = use.units.find(*type); it != use.units.end()) {
+            used += it->second;
           }
         }
         auto avail = p.avail_at(t);

@@ -349,6 +349,14 @@ class Traverser {
     std::vector<std::int64_t> counts;
   };
 
+  /// One claim's share of an SDFU load: the claim (an index into the
+  /// claims sdfu_loads was given) under filtered ancestor `vertex`.
+  struct LoadPart {
+    VertexId vertex;
+    util::TimeWindow window;
+    std::size_t claim;
+  };
+
   struct JobRecord {
     MatchResult result;
     std::vector<CommittedClaim> claims;
@@ -498,9 +506,10 @@ class Traverser {
   /// Scheduler-Driven Filter Update loads (paper §3.4): what `claims`
   /// consume beneath each ancestor that has a pruning filter, summed per
   /// (ancestor, window) and added to rebook_ (and `rec`) in that order.
-  /// All-zero loads are skipped, and so are claims under an exclusive
-  /// claim of their own job, which the enclosing whole instance already
-  /// counts.
+  /// A whole-instance claim contributes its vertex's cached subtree
+  /// totals, any other claim its units. All-zero loads are skipped, and
+  /// so are claims under an exclusive claim of their own job, which the
+  /// enclosing whole instance already counts.
   void sdfu_loads(std::span<const CommittedClaim> claims, JobRecord& rec);
   /// The one way to change a record's bookings: run rebook_'s steps in
   /// order. On success the released slots leave `rec`. On the first
@@ -514,7 +523,8 @@ class Traverser {
   /// pending fault when `op` is set.
   util::Status rebook_step(JobRecord& rec, const Rebook::Step& s, bool book,
                            const char* op);
-  /// Recompute rec.result.resources from rec.claims.
+  /// Recompute rec.result.resources from rec.claims: one entry per vertex,
+  /// in vertex order, units summed and `exclusive` OR-ed.
   void refresh_resources(JobRecord& rec) const;
   /// Release every span held by rec (best effort: keeps going past a
   /// failed removal, then reports it as Errc::internal).
@@ -565,6 +575,7 @@ class Traverser {
   TraverserStats stats_;
   MatchScratch scratch_;  // serial path (match/grow) scratch
   Rebook rebook_;         // the plan of the rebook in flight
+  std::vector<LoadPart> load_parts_;  // sdfu_loads' scratch
   TraversalMode mode_ = TraversalMode::scored;
   std::uint64_t mutation_epoch_ = 0;
   bool audit_enabled_ = false;

@@ -128,11 +128,14 @@ TEST(PaperRecipes, HighLodShape) {
   auto root = build(g, r);
   ASSERT_TRUE(root);
   const auto counts = g.subtree_counts(*root);
-  EXPECT_EQ(counts.at(*g.find_type("node")), 1008);
-  EXPECT_EQ(counts.at(*g.find_type("core")), 1008 * 40);
-  EXPECT_EQ(counts.at(*g.find_type("gpu")), 1008 * 4);
-  EXPECT_EQ(counts.at(*g.find_type("memory")), 1008 * 2 * 8 * 16);  // GB
-  EXPECT_EQ(counts.at(*g.find_type("bb")), 1008 * 2 * 8 * 100);     // GB
+  const auto units = [&](const char* type) {
+    return graph::count_of(counts, *g.find_type(type));
+  };
+  EXPECT_EQ(units("node"), 1008);
+  EXPECT_EQ(units("core"), 1008 * 40);
+  EXPECT_EQ(units("gpu"), 1008 * 4);
+  EXPECT_EQ(units("memory"), 1008 * 2 * 8 * 16);  // GB
+  EXPECT_EQ(units("bb"), 1008 * 2 * 8 * 100);     // GB
 }
 
 TEST(PaperRecipes, LodVariantsKeepCapacityConstant) {
@@ -148,9 +151,9 @@ TEST(PaperRecipes, LodVariantsKeepCapacityConstant) {
   ASSERT_TRUE(rl2);
   for (auto* pair : {&gh, &gm, &gl, &gl2}) {
     const auto counts = pair->subtree_counts(0);
-    EXPECT_EQ(counts.at(*pair->find_type("core")), 1008 * 40);
-    EXPECT_EQ(counts.at(*pair->find_type("memory")), 1008 * 256);
-    EXPECT_EQ(counts.at(*pair->find_type("bb")), 1008 * 1600);
+    EXPECT_EQ(graph::count_of(counts, *pair->find_type("core")), 1008 * 40);
+    EXPECT_EQ(graph::count_of(counts, *pair->find_type("memory")), 1008 * 256);
+    EXPECT_EQ(graph::count_of(counts, *pair->find_type("bb")), 1008 * 1600);
   }
   // And vertex counts shrink monotonically High > Med > Low2 > Low.
   EXPECT_GT(gh.vertex_count(), gm.vertex_count());
@@ -175,8 +178,9 @@ TEST(PaperRecipes, QuartzShape) {
   auto root = build(g, recipes::quartz());
   ASSERT_TRUE(root);
   const auto counts = g.subtree_counts(*root);
-  EXPECT_EQ(counts.at(*g.find_type("node")), 39 * 62);  // 2418 nodes
-  EXPECT_EQ(counts.at(*g.find_type("core")), 2418 * 36);
+  EXPECT_EQ(graph::count_of(counts, *g.find_type("node")),
+            39 * 62);  // 2418 nodes
+  EXPECT_EQ(graph::count_of(counts, *g.find_type("core")), 2418 * 36);
 }
 
 }  // namespace

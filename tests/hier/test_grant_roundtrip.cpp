@@ -85,8 +85,8 @@ void expect_faithful_copy(const graph::ResourceGraph& parent,
     if (type == "core") cores += units;
   }
   for (const auto& [v, from] : origin) {
-    const auto kids = child.containment_children(v);
-    const auto parent_kids = parent.containment_children(from);
+    auto kids = child.containment_children(v);
+    auto parent_kids = parent.containment_children(from);
     auto next = parent_kids.begin();
     for (const graph::VertexId k : kids) {
       next = std::find(next, parent_kids.end(), origin.at(k));

@@ -40,7 +40,7 @@ TEST(JgfRoundTrip, WholeGraphSurvives) {
   EXPECT_EQ(g2.vertex(*mem).size, 16);
   EXPECT_EQ(g2.vertex(*mem).schedule->total(), 16);
   const auto counts = g2.subtree_counts(back->root);
-  EXPECT_EQ(counts.at(*g2.find_type("core")), 16);
+  EXPECT_EQ(graph::count_of(counts, *g2.find_type("core")), 16);
   EXPECT_TRUE(g2.validate());
 }
 
@@ -57,7 +57,9 @@ TEST(JgfRoundTrip, NonContainmentEdgesSurvive) {
   ASSERT_TRUE(back) << back.error().message;
   graph::ResourceGraph& g2 = *back->graph;
   const auto storage = g2.intern_subsystem("storage");
-  EXPECT_EQ(g2.children(back->root, storage, g2.contains_rel()).size(), 1u);
+  EXPECT_EQ(std::ranges::distance(
+                g2.children(back->root, storage, g2.contains_rel())),
+            1);
 }
 
 TEST(JgfRoundTrip, MalformedDocumentsRejected) {
@@ -100,7 +102,7 @@ TEST_F(InstanceTree, SpawnGrantsResources) {
   auto& cg = (*child)->engine().graph();
   EXPECT_EQ(cg.vertices_of_type(*cg.find_type("node")).size(), 4u);
   const auto counts = cg.subtree_counts((*child)->engine().root());
-  EXPECT_EQ(counts.at(*cg.find_type("core")), 16);
+  EXPECT_EQ(graph::count_of(counts, *cg.find_type("core")), 16);
 }
 
 TEST_F(InstanceTree, ChildSchedulesInsideGrant) {
@@ -203,7 +205,7 @@ TEST(GrantJgf, QuantityClaimsShrinkPools) {
   auto child = grant_graph(g, *grant, 0, 100000);
   ASSERT_TRUE(child) << child.error().message;
   const auto counts = child->graph->subtree_counts(child->root);
-  EXPECT_EQ(counts.at(*child->graph->find_type("memory")), 8);
+  EXPECT_EQ(graph::count_of(counts, *child->graph->find_type("memory")), 8);
 }
 
 }  // namespace

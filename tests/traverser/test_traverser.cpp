@@ -444,5 +444,39 @@ TEST(RootClaim, JobBelowExclusiveRootWaits) {
   }
 }
 
+// A grow that claims a vertex the job already holds: the job's resources
+// stay one entry per vertex, in vertex order, with the units summed.
+class MergedResources : public TinyCluster {};
+
+TEST_F(MergedResources, GrowOntoHeldVertexMergesUnits) {
+  auto js = make(
+      {res("node", 1, {slot(1, {res("memory", 8), res("core", 1)})})}, 100);
+  ASSERT_TRUE(js);
+  ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
+  auto grown = trav->grow(1, *js, 0);
+  ASSERT_TRUE(grown) << grown.error().message;
+  const auto& held = grown->resources;
+  for (std::size_t i = 1; i < held.size(); ++i) {
+    EXPECT_LT(held[i - 1].vertex, held[i].vertex) << i;
+  }
+  const auto memory0 = g.find_by_path("/cluster0/rack0/node0/memory0");
+  ASSERT_TRUE(memory0);
+  std::int64_t memory_units = 0, cores = 0;
+  for (const ResourceUnit& ru : held) {
+    const std::string& type = g.type_name(g.vertex(ru.vertex).type);
+    if (type == "core") cores += ru.units;
+    if (type != "memory") continue;
+    EXPECT_EQ(ru.vertex, *memory0);
+    EXPECT_TRUE(ru.exclusive);
+    memory_units += ru.units;
+  }
+  EXPECT_EQ(memory_units, 16);
+  EXPECT_EQ(cores, 2);
+  EXPECT_EQ(trav->find_job(1)->resources.size(), held.size());
+  EXPECT_TRUE(trav->verify_filters());
+  ASSERT_TRUE(trav->cancel(1));
+  EXPECT_TRUE(trav->verify_filters());
+}
+
 }  // namespace
 }  // namespace fluxion::traverser
