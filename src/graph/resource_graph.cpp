@@ -104,7 +104,6 @@ VertexId ResourceGraph::add_vertex_named(std::string_view type,
     by_type_.resize(vertices_.back().type + 1);
   }
   by_type_[vertices_.back().type].push_back(id);
-  by_path_[vertices_.back().path] = id;
   ++live_count_;
   ++status_counts_[static_cast<std::size_t>(ResourceStatus::up)];
   return id;
@@ -126,21 +125,10 @@ util::Status ResourceGraph::add_edge(VertexId src, VertexId dst,
 }
 
 namespace {
-void repath(ResourceGraph& g, VertexId v,
-            std::unordered_map<std::string, VertexId>& by_path,
-            const std::string& parent_path) {
+void repath(ResourceGraph& g, VertexId v, const std::string& parent_path) {
   Vertex& vx = g.vertex(v);
-  // Only drop the registration if it is really ours: a sibling created
-  // later may have transiently reused the same pre-containment path.
-  if (auto it = by_path.find(vx.path);
-      it != by_path.end() && it->second == v) {
-    by_path.erase(it);
-  }
   vx.path = parent_path + "/" + vx.name;
-  by_path[vx.path] = v;
-  for (VertexId c : g.containment_children(v)) {
-    repath(g, c, by_path, vx.path);
-  }
+  for (VertexId c : g.containment_children(v)) repath(g, c, vx.path);
 }
 }  // namespace
 
@@ -189,7 +177,7 @@ util::Status ResourceGraph::add_containment(VertexId parent, VertexId child) {
   }
   if (auto st = add_edge(child, parent, containment_, in_); !st) return st;
   vertices_[child].containment_parent = parent;
-  repath(*this, child, by_path_, vertices_[parent].path);
+  repath(*this, child, vertices_[parent].path);
   const std::int32_t child_non_up =
       vertices_[child].non_up_below +
       (vertices_[child].status != ResourceStatus::up ? 1 : 0);
@@ -229,11 +217,26 @@ std::vector<VertexId> ResourceGraph::vertices_of_type(InternId type) const {
 
 std::optional<VertexId> ResourceGraph::find_by_path(
     std::string_view path) const {
-  auto it = by_path_.find(std::string(path));
-  if (it == by_path_.end() || !vertices_[it->second].alive) {
-    return std::nullopt;
+  VertexId at = kInvalidVertex;  // the vertex the next name lies under
+  const auto first_named = [&](std::string_view name, auto&& candidates) {
+    for (VertexId c : candidates) {
+      const Vertex& cx = vertices_[c];
+      if (cx.alive && cx.containment_parent == at && cx.name == name) return c;
+    }
+    return kInvalidVertex;
+  };
+  while (path.starts_with('/')) {
+    path.remove_prefix(1);
+    const std::string_view name = path.substr(0, path.find('/'));
+    path.remove_prefix(name.size());
+    at = at == kInvalidVertex
+             ? first_named(name, std::views::iota(VertexId{0},
+                                                  VertexId(vertices_.size())))
+             : first_named(name, containment_children(at));
+    if (at == kInvalidVertex) return std::nullopt;
   }
-  return it->second;
+  if (at == kInvalidVertex) return std::nullopt;
+  return at;
 }
 
 void ResourceGraph::collect_subtree(VertexId v,
@@ -501,7 +504,6 @@ util::Status ResourceGraph::detach_subtree(VertexId v) {
   // clear_out_edges bumps the structure epoch.
   for (VertexId u : subtree) {
     vertices_[u].alive = false;
-    by_path_.erase(vertices_[u].path);
     --live_count_;
     --status_counts_[static_cast<std::size_t>(vertices_[u].status)];
     clear_out_edges(u);
@@ -538,10 +540,6 @@ void ResourceGraph::discard_detached_from(VertexId mark) {
     Vertex& vx = vertices_[u];
     if (!vx.alive) continue;
     vx.alive = false;
-    if (auto it = by_path_.find(vx.path);
-        it != by_path_.end() && it->second == u) {
-      by_path_.erase(it);
-    }
     --live_count_;
     --status_counts_[static_cast<std::size_t>(vx.status)];
     clear_out_edges(u);
@@ -583,13 +581,12 @@ bool ResourceGraph::validate() const {
     ++by_status[static_cast<std::size_t>(v.status)];
     if (v.schedule == nullptr || v.x_checker == nullptr) return false;
     if (v.schedule->total() != v.size) return false;
-    // Path registration must round-trip.
-    auto it = by_path_.find(v.path);
-    if (it == by_path_.end() || it->second != v.id) return false;
-    if (v.containment_parent != kInvalidVertex) {
+    // The stored path is the one derived from the containment parents.
+    if (v.containment_parent == kInvalidVertex) {
+      if (v.path != "/" + v.name) return false;
+    } else {
       const Vertex& p = vertices_[v.containment_parent];
-      if (!p.alive) return false;
-      if (v.path != p.path + "/" + v.name) return false;
+      if (!p.alive || v.path != p.path + "/" + v.name) return false;
     }
     // Pruning filter totals must equal the current *counted* subtree
     // capacity (down vertices are subtracted by set_status).

@@ -26,7 +26,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "planner/planner.hpp"
@@ -257,7 +256,10 @@ class ResourceGraph {
   /// All live vertices of a type, in id order.
   std::vector<VertexId> vertices_of_type(InternId type) const;
 
-  /// Vertex by containment path; nullopt when absent.
+  /// Vertex by containment path ("/cluster0/rack0/node3"), found by
+  /// walking the names down from a live parentless vertex; nullopt when
+  /// absent. A path several vertices share resolves to the first match:
+  /// the lowest id among roots, edge order among children.
   std::optional<VertexId> find_by_path(std::string_view path) const;
 
   /// Sum of pool sizes per type over v's containment subtree (v included),
@@ -324,7 +326,6 @@ class ResourceGraph {
   InternId in_;
   std::vector<Vertex> vertices_;
   std::vector<std::vector<Edge>> out_;
-  std::unordered_map<std::string, VertexId> by_path_;
   std::vector<std::vector<VertexId>> by_type_;
   std::vector<InternId> subsystem_filter_;
   std::size_t live_count_ = 0;

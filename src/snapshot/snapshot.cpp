@@ -50,6 +50,51 @@ bool read_resources(Reader& r, std::size_t vertex_count,
   return true;
 }
 
+/// Whether the graph's containment is the forest the engine builds: a
+/// live vertex's parent is absent, or a live vertex holding the matching
+/// containment `contains` edge; every such edge into a live vertex is a
+/// parent pointer; parent chains end within kMaxContainmentDepth edges;
+/// and each stored path is the one derived from the parents. Unchecked, a
+/// corrupt parent reads out of bounds and a `contains` edge closing a
+/// cycle sends every subtree walk round it forever.
+bool containment_is_forest(const graph::ResourceGraph& g) {
+  const auto n = static_cast<graph::VertexId>(g.vertex_count());
+  const auto contains = [&g](const graph::Edge& e) {
+    return e.subsystem == g.containment() && e.relation == g.contains_rel();
+  };
+  for (graph::VertexId v = 0; v < n; ++v) {
+    const graph::Vertex& vx = g.vertex(v);
+    if (!vx.alive) continue;
+    const graph::VertexId p = vx.containment_parent;
+    if (p == graph::kInvalidVertex) {
+      if (vx.path != "/" + vx.name) return false;
+    } else if (p >= n || !g.vertex(p).alive ||
+               vx.path != g.vertex(p).path + "/" + vx.name ||
+               std::ranges::none_of(g.out_edges(p), [&](const graph::Edge& e) {
+                 return contains(e) && e.dst == v;
+               })) {
+      return false;
+    }
+    for (const graph::Edge& e : g.out_edges(v)) {
+      if (contains(e) && g.vertex(e.dst).alive &&
+          g.vertex(e.dst).containment_parent != v) {
+        return false;
+      }
+    }
+  }
+  // Every parent is now a live vertex in range, so the chains can be
+  // walked.
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (!g.vertex(v).alive) continue;
+    std::size_t depth = 0;
+    for (graph::VertexId a = g.vertex(v).containment_parent;
+         a != graph::kInvalidVertex; a = g.vertex(a).containment_parent) {
+      if (++depth > graph::kMaxContainmentDepth) return false;
+    }
+  }
+  return true;
+}
+
 void write_args(
     Writer& w,
     const std::vector<std::pair<std::string, std::string>>& args) {
@@ -398,13 +443,13 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
     }
     g.subsystem_filter_.push_back(s);
   }
-  // Derived state: path index and the live/status tallies only count
-  // vertices that are still alive (detach erases dead paths).
+  if (!containment_is_forest(g)) return corrupt("containment");
+  // Derived state: the live/status tallies only count vertices that are
+  // still alive.
   for (const graph::Vertex& v : g.vertices_) {
     if (!v.alive) continue;
     ++g.live_count_;
     ++g.status_counts_[static_cast<std::size_t>(v.status)];
-    g.by_path_[v.path] = v.id;
   }
 
   // --- traverser -----------------------------------------------------------

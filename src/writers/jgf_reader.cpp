@@ -43,6 +43,12 @@ util::Expected<VertexSpec> parse_vertex(const yaml::Node& n) {
                       : spec.type;
   spec.name =
       meta->get("name") != nullptr ? meta->get("name")->scalar() : spec.jgf_id;
+  // A name is one component of the vertex's containment path.
+  if (spec.name.empty() || spec.name.find('/') != std::string::npos) {
+    return util::Error{Errc::invalid_argument,
+                       "jgf: node '" + spec.jgf_id + "' has name '" +
+                           spec.name + "' (want non-empty, without '/')"};
+  }
   if (const yaml::Node* size = meta->get("size")) {
     auto v = size->as_i64();
     if (!v || *v < 0) {

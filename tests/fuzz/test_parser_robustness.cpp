@@ -243,6 +243,35 @@ TEST(ParserRobustness, JgfContainmentCyclesRejectedAndNamed) {
   }
 }
 
+TEST(ParserRobustness, JgfNamesAreOnePathComponent) {
+  // A name is one component of the vertex's path: an empty one, or one
+  // with a '/', would make the path name another vertex or none.
+  const auto graph = [](const std::string& name_field) {
+    return R"({"graph":{"nodes":[)"
+           R"({"id":"0","metadata":{"type":"cluster","name":"c0"}},)"
+           R"({"id":"n1","metadata":{"type":"node")" +
+           name_field + R"(}}],"edges":[{"source":"0","target":"n1"}]}})";
+  };
+  ASSERT_TRUE(writers::read_jgf(graph(R"(,"name":"node0")"), 0, 1000));
+  for (const std::string name : {"", "a/b", "/", "node0/"}) {
+    auto r = writers::read_jgf(graph(R"(,"name":")" + name + R"(")"), 0,
+                               1000);
+    ASSERT_FALSE(r) << "name '" << name << "'";
+    EXPECT_EQ(r.error().code, util::Errc::invalid_argument);
+    EXPECT_NE(r.error().message.find("node 'n1' has name '" + name + "'"),
+              std::string::npos)
+        << r.error().message;
+  }
+  // Without a name the id stands in, under the same rule.
+  auto r = writers::read_jgf(
+      R"({"graph":{"nodes":[{"id":"x/y","metadata":{"type":"cluster"}}]}})",
+      0, 1000);
+  ASSERT_FALSE(r);
+  EXPECT_NE(r.error().message.find("node 'x/y' has name 'x/y'"),
+            std::string::npos)
+      << r.error().message;
+}
+
 TEST(ParserRobustness, JgfContainmentDepthLimited) {
   // Every vertex stores its full path, so a long chain costs O(depth^2)
   // bytes; one level past graph::kMaxContainmentDepth is refused at the

@@ -9,6 +9,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "grug/grug.hpp"
 #include "policy/policies.hpp"
@@ -153,6 +155,73 @@ TEST_F(SnapshotFixture, LoadRejectsCorruptInput) {
     EXPECT_FALSE(EngineSnapshot::load(std::string_view(good).substr(0, cut)))
         << "cut=" << cut;
   }
+}
+
+/// Forest oracle over the public API: a walk down containment_children
+/// from the live parentless vertices reaches every live vertex exactly
+/// once, from its containment parent, within kMaxContainmentDepth edges,
+/// and each path is its parent's path plus "/" + its name.
+bool is_containment_forest(const graph::ResourceGraph& g) {
+  std::vector<int> seen(g.vertex_count(), 0);
+  std::vector<std::pair<graph::VertexId, std::size_t>> stack;
+  std::size_t live = 0;
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
+    const graph::Vertex& vx = g.vertex(v);
+    if (!vx.alive) continue;
+    ++live;
+    if (vx.containment_parent != graph::kInvalidVertex) continue;
+    if (vx.path != "/" + vx.name) return false;
+    stack.emplace_back(v, 0);
+  }
+  std::size_t reached = 0;
+  while (!stack.empty()) {
+    const auto [v, depth] = stack.back();
+    stack.pop_back();
+    if (seen[v]++ != 0 || depth > graph::kMaxContainmentDepth) return false;
+    ++reached;
+    for (graph::VertexId c : g.containment_children(v)) {
+      const graph::Vertex& cx = g.vertex(c);
+      if (cx.containment_parent != v ||
+          cx.path != g.vertex(v).path + "/" + cx.name) {
+        return false;
+      }
+      stack.emplace_back(c, depth + 1);
+    }
+  }
+  return reached == live;
+}
+
+// Every single-byte corruption (each byte set to 0x00 and to 0x7f) of a
+// one-job snapshot either fails to load or yields an engine whose
+// containment is a forest, whose validate() returns, and which can match
+// and cancel. Unchecked parents and `contains` edges used to read out of
+// bounds in load and validate(), or send validate() round a cycle.
+class SnapshotCorruption : public SnapshotFixture {};
+
+TEST_F(SnapshotCorruption, SingleBytesLoadOnlyForests) {
+  ASSERT_TRUE(trav->match(whole_nodes(1, 100), traverser::MatchOp::allocate,
+                          0, 1));
+  const std::string good = EngineSnapshot::save(g, *trav, nullptr);
+  ASSERT_TRUE(is_containment_forest(*(*EngineSnapshot::load(good))->graph));
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (const char b : {'\x00', '\x7f'}) {
+      if (good[i] == b) continue;
+      std::string bad = good;
+      bad[i] = b;
+      auto eng = EngineSnapshot::load(bad);
+      if (!eng) continue;
+      ++accepted;
+      EXPECT_TRUE(is_containment_forest(*(*eng)->graph))
+          << "byte " << i << " set to " << int{b};
+      (void)(*eng)->graph->validate();
+      traverser::Traverser& t = *(*eng)->traverser;
+      (void)t.match(whole_nodes(1, 50), traverser::MatchOp::allocate, 0,
+                    (*eng)->next_job_id);
+      (void)t.cancel(1);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 // --- engine round trip ----------------------------------------------------

@@ -262,6 +262,26 @@ TEST_F(CliTest, JgfSystemLoading) {
       << out;
 }
 
+TEST_F(CliTest, JgfChildNamedLikeTheRootKeepsRootPath) {
+  // A node named like the cluster root must not hide the root's path.
+  const std::string jgf_file = temp_dir() + "cli_twin.jgf";
+  write_file(jgf_file,
+             R"({"graph":{"nodes":[)"
+             R"({"id":"0","metadata":{"type":"cluster","name":"cluster0"}},)"
+             R"({"id":"1","metadata":{"type":"node","name":"cluster0"}},)"
+             R"({"id":"2","metadata":{"type":"core","name":"core0"}}],)"
+             R"("edges":[{"source":"0","target":"1"},)"
+             R"({"source":"1","target":"2"}]}})");
+  const std::string out =
+      run_cli("--jgf " + jgf_file,
+              "set-status /cluster0 drained\n"
+              "set-status /cluster0/cluster0 up\nquit\n");
+  EXPECT_EQ(out.find("needs a known path"), std::string::npos) << out;
+  EXPECT_NE(out.find("/cluster0: up -> drained"), std::string::npos) << out;
+  EXPECT_NE(out.find("/cluster0/cluster0: drained -> up"), std::string::npos)
+      << out;
+}
+
 TEST_F(CliTest, GrugAndJgfAreMutuallyExclusive) {
   int rc = 0;
   run_cli("--grug " + grug_ + " --jgf " + grug_, "quit\n", &rc);
